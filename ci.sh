@@ -107,6 +107,17 @@ grep -q 'class="audit-timeline"' "$REPORT_TMP/report.html" \
 echo "== cargo clippy -D warnings =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "== perfbench build + checks =="
+# perfbench/ is a separate workspace that drives the library through its
+# public API; building it here catches API breaks in workload/replay
+# before the benchmark pipeline does. The smoke test runs every workload
+# at tiny scale; the quorum_requests run checks the pinned seed-2014
+# per-rung lock/store fingerprints in perfbench/pinned/.
+python3 perfbench/smoke_test.py
+python3 perfbench/run.py --workload quorum_requests --seconds 0 > /tmp/ci_quorum_requests.txt
+tail -n 1 /tmp/ci_quorum_requests.txt | grep -q '"correct": true' \
+  || { echo "perfbench: quorum_requests output checks failed" >&2; exit 1; }
+
 echo "== bench-baseline compare =="
 if [[ -f BENCH_replay.json ]]; then
   # The trace-overhead guard is always strict: it asserts disabled

@@ -6,7 +6,7 @@ use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use paxos::{ClientOp, Cluster, LockCmd, LockService, ReplicaConfig};
 use simnet::{NetworkConfig, SimTime};
-use storage::{RsCluster, RsConfig, StoreCmd};
+use storage::{ShardStore, StoreCmd};
 
 fn lock_commits(c: &mut Criterion) {
     let mut g = c.benchmark_group("paxos_lock_commits");
@@ -82,7 +82,13 @@ fn rs_paxos_puts(c: &mut Criterion) {
     for size in [1024usize, 16 * 1024] {
         g.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, &size| {
             b.iter(|| {
-                let mut cluster = RsCluster::new(5, RsConfig::default(), NetworkConfig::ideal(), 3);
+                let mut cluster = Cluster::new(
+                    5,
+                    ShardStore::new(),
+                    ReplicaConfig::rs_paxos(3),
+                    NetworkConfig::ideal(),
+                    3,
+                );
                 let client = cluster.add_client();
                 for i in 0..10 {
                     cluster.submit(

@@ -12,7 +12,7 @@ use simnet::{Context, NodeId, SimTime, TimerToken};
 
 use crate::ballot::Slot;
 use crate::msg::{ClientOp, Msg};
-use crate::replica::StateMachine;
+use crate::service::Service;
 
 const TICK_TOKEN: TimerToken = TimerToken(1);
 
@@ -23,7 +23,7 @@ fn sim_micros(t: SimTime) -> u64 {
 
 /// One completed (or still outstanding) operation in the client history.
 #[derive(Clone, Debug)]
-pub struct CompletedOp<SM: StateMachine> {
+pub struct CompletedOp<SM: Service> {
     /// Request id.
     pub req_id: u64,
     /// The submitted operation.
@@ -53,7 +53,7 @@ struct InFlight {
 
 /// Client actor state.
 #[derive(Clone, Debug)]
-pub struct ClientState<SM: StateMachine> {
+pub struct ClientState<SM: Service> {
     me: NodeId,
     servers: Vec<NodeId>,
     tick: SimTime,
@@ -76,7 +76,7 @@ pub struct ClientState<SM: StateMachine> {
     obs: Obs,
 }
 
-impl<SM: StateMachine> ClientState<SM> {
+impl<SM: Service> ClientState<SM> {
     /// A client that talks to `servers`.
     pub fn new(me: NodeId, servers: Vec<NodeId>, seed: u64) -> Self {
         assert!(!servers.is_empty(), "client needs at least one server");
@@ -84,7 +84,7 @@ impl<SM: StateMachine> ClientState<SM> {
             me,
             servers,
             tick: SimTime::from_millis(100),
-            timeout: SimTime::from_millis(1_000),
+            timeout: SM::PROFILE.session_timeout,
             next_req: 1,
             queue: VecDeque::new(),
             inflight: None,
@@ -92,7 +92,9 @@ impl<SM: StateMachine> ClientState<SM> {
             history: Vec::new(),
             local_reads: false,
             floor: 0,
-            rng: ChaCha8Rng::seed_from_u64(seed ^ (me.0 as u64).wrapping_mul(0x51_7C_C1_B7)),
+            rng: ChaCha8Rng::seed_from_u64(
+                seed ^ (me.0 as u64).wrapping_mul(SM::PROFILE.client_salt),
+            ),
             obs: Obs::disabled(),
         }
     }
@@ -104,7 +106,7 @@ impl<SM: StateMachine> ClientState<SM> {
         self
     }
 
-    /// Route read-only commands ([`StateMachine::is_read_only`]) to
+    /// Route read-only commands ([`Service::is_read_only`]) to
     /// followers as local reads (builder-style). Requires the replicas
     /// to run with `local_reads` enabled too; a timed-out read falls
     /// back to the serialized leader path either way.
@@ -119,10 +121,10 @@ impl<SM: StateMachine> ClientState<SM> {
     }
 
     /// Queue an operation for submission (fired from the next tick).
-    pub fn submit(&mut self, op: ClientOp<SM::Command>) -> u64 {
+    pub fn submit(&mut self, op: impl Into<ClientOp<SM::Command>>) -> u64 {
         let req_id = self.next_req;
         self.next_req += 1;
-        self.queue.push_back(op);
+        self.queue.push_back(op.into());
         req_id
     }
 

@@ -7,7 +7,8 @@ use simnet::{ChaosAction, NetworkConfig, NodeId, SimTime, Simulation};
 use crate::client::ClientState;
 use crate::msg::ClientOp;
 use crate::node::PaxosNode;
-use crate::replica::{Replica, ReplicaConfig, StateMachine};
+use crate::replica::{Replica, ReplicaConfig};
+use crate::service::Service;
 
 /// Sim time with zero drain progress after which the harness liveness
 /// watchdog fires `watchdog.liveness`: 30 sim-seconds, comfortably past
@@ -15,21 +16,22 @@ use crate::replica::{Replica, ReplicaConfig, StateMachine};
 /// convention.
 pub const LIVENESS_STALL_BOUND: u64 = 30_000_000;
 
-/// A Paxos cluster under simulation: replicas, clients, and the driver
-/// conveniences around them.
-pub struct Cluster<SM: StateMachine> {
+/// A replicated-service cluster under simulation: replicas, clients, and
+/// the driver conveniences around them.
+pub struct Cluster<SM: Service> {
     /// The underlying simulation (exposed for fault injection).
     pub sim: Simulation<PaxosNode<SM>>,
     servers: Vec<NodeId>,
     clients: Vec<NodeId>,
     replica_cfg: ReplicaConfig,
-    /// Pristine state machine, cloned for chaos-driven restarts.
+    /// Pristine service state, cloned for replacement replicas.
     initial_sm: SM,
     seed: u64,
 }
 
-impl<SM: StateMachine> Cluster<SM> {
-    /// Build a cluster of `n` replicas initialized with clones of `sm`.
+impl<SM: Service> Cluster<SM> {
+    /// Build a cluster of `n` replicas initialized with clones of `sm`
+    /// (the pristine service state).
     pub fn new(
         n: usize,
         sm: SM,
@@ -96,7 +98,7 @@ impl<SM: StateMachine> Cluster<SM> {
 
     /// Queue an operation on `client`; it is issued at the client's next
     /// tick and retried until a leader applies it.
-    pub fn submit(&mut self, client: NodeId, op: ClientOp<SM::Command>) -> u64 {
+    pub fn submit(&mut self, client: NodeId, op: impl Into<ClientOp<SM::Command>>) -> u64 {
         self.sim
             .actor_mut(client)
             .and_then(PaxosNode::as_client_mut)
@@ -134,6 +136,17 @@ impl<SM: StateMachine> Cluster<SM> {
         }
     }
 
+    /// The last completed response on `client` (`None` while nothing
+    /// completed, and for reconfigurations).
+    pub fn last_response(&self, client: NodeId) -> Option<SM::Response> {
+        self.sim
+            .actor(client)
+            .and_then(PaxosNode::as_client)
+            .and_then(|c| c.history().last())
+            .and_then(|h| h.completed.clone())
+            .and_then(|(_, r)| r)
+    }
+
     /// The replica currently leading, if any replica believes it leads.
     pub fn leader(&self) -> Option<NodeId> {
         self.servers.iter().copied().find(|&id| {
@@ -167,6 +180,15 @@ impl<SM: StateMachine> Cluster<SM> {
             self.seed ^ id.0 as u64,
         );
         self.sim.restart(id, PaxosNode::Server(replica));
+    }
+
+    /// Restart a crashed replica as a fresh instance (a replacement
+    /// taking over the same node id and, for position-coded services,
+    /// the same shard): pristine service state and the current view; it
+    /// recovers the log via catch-up.
+    pub fn replace(&mut self, id: NodeId) {
+        let view = self.current_view().unwrap_or_else(|| self.servers.clone());
+        self.restart(id, self.initial_sm.clone(), view);
     }
 
     /// Launch a brand-new replica (a fresh spot instance) that expects to
@@ -241,13 +263,9 @@ impl<SM: StateMachine> Cluster<SM> {
                             r.reboot();
                             self.sim.restart(*id, PaxosNode::Server(r));
                         }
-                        _ => {
-                            // No disk to recover (e.g. restarted before):
-                            // rejoin pristine and catch up from peers.
-                            let view =
-                                self.current_view().unwrap_or_else(|| self.servers.clone());
-                            self.restart(*id, self.initial_sm.clone(), view);
-                        }
+                        // No disk to recover (e.g. restarted before):
+                        // rejoin pristine and catch up from peers.
+                        _ => self.replace(*id),
                     }
                 }
             }

@@ -1,11 +1,11 @@
-//! Wire messages, log entries and quorum rules.
+//! Wire messages, log entries and quorum rules, shared by every service.
 
 use simnet::NodeId;
 
 pub use quorum::QuorumRule;
 
 use crate::ballot::{Ballot, Slot};
-use crate::replica::StateMachine;
+use crate::service::{ExtMsg, Service};
 
 /// An operation a client may submit.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -19,6 +19,12 @@ pub enum ClientOp<C> {
         /// Nodes to remove from the view.
         remove: Vec<NodeId>,
     },
+}
+
+impl<C> From<C> for ClientOp<C> {
+    fn from(cmd: C) -> Self {
+        ClientOp::App(cmd)
+    }
 }
 
 /// One client operation inside a [`Command::Batch`]: the same
@@ -69,6 +75,48 @@ pub enum Command<C> {
     Noop,
 }
 
+impl<C> Command<C> {
+    /// The same value with every application command mapped through
+    /// `f`, which also gets the command's position in the slot (0 for a
+    /// single command).
+    pub fn map_cmds<D>(&self, mut f: impl FnMut(usize, &C) -> D) -> Command<D> {
+        match self {
+            Command::App {
+                client,
+                req_id,
+                cmd,
+            } => Command::App {
+                client: *client,
+                req_id: *req_id,
+                cmd: f(0, cmd),
+            },
+            Command::Reconfig {
+                client,
+                req_id,
+                add,
+                remove,
+            } => Command::Reconfig {
+                client: *client,
+                req_id: *req_id,
+                add: add.clone(),
+                remove: remove.clone(),
+            },
+            Command::Batch(entries) => Command::Batch(
+                entries
+                    .iter()
+                    .enumerate()
+                    .map(|(j, e)| BatchEntry {
+                        client: e.client,
+                        req_id: e.req_id,
+                        cmd: f(j, &e.cmd),
+                    })
+                    .collect(),
+            ),
+            Command::Noop => Command::Noop,
+        }
+    }
+}
+
 /// A slot's accepted (not necessarily chosen) state, carried in promises.
 #[derive(Clone, Debug)]
 pub struct AcceptedEntry<C> {
@@ -92,7 +140,7 @@ pub struct ChosenEntry<C> {
 /// A state snapshot replacing the compacted log prefix: the applied state
 /// machine plus everything a replica needs to resume from `applied`.
 #[derive(Clone, Debug)]
-pub struct SnapshotData<SM: StateMachine> {
+pub struct SnapshotData<SM: Service> {
     /// Every slot below this is applied into `sm`.
     pub applied: Slot,
     /// The membership view as of `applied`.
@@ -105,9 +153,11 @@ pub struct SnapshotData<SM: StateMachine> {
     pub dedup: Vec<(NodeId, u64, Option<SM::Response>)>,
 }
 
-/// The protocol messages. `SM` fixes both command and response types.
+/// The protocol messages. The service `SM` fixes the client command and
+/// response types, the acceptor-side wire command, and the service-only
+/// messages carried in [`Msg::Ext`].
 #[derive(Clone, Debug)]
-pub enum Msg<SM: StateMachine> {
+pub enum Msg<SM: Service> {
     /// Phase-1a: a candidate asks for promises from `from_slot` on.
     Prepare {
         /// The candidate's ballot.
@@ -120,15 +170,15 @@ pub enum Msg<SM: StateMachine> {
         /// The ballot being promised.
         ballot: Ballot,
         /// Accepted-but-not-chosen entries at or above `from_slot`.
-        accepted: Vec<AcceptedEntry<SM::Command>>,
+        accepted: Vec<AcceptedEntry<SM::Wire>>,
         /// Chosen entries at or above the candidate's `from_slot` (and
         /// above the acceptor's compaction floor).
-        chosen: Vec<ChosenEntry<SM::Command>>,
+        chosen: Vec<ChosenEntry<SM::Wire>>,
         /// The acceptor's first unchosen slot.
         commit_index: Slot,
         /// The acceptor's snapshot, included when the candidate asked for
         /// slots below the acceptor's compaction floor.
-        snapshot: Option<SnapshotData<SM>>,
+        snapshot: Option<Box<SnapshotData<SM>>>,
     },
     /// Phase-2a: accept request for one slot.
     Accept {
@@ -136,8 +186,8 @@ pub enum Msg<SM: StateMachine> {
         ballot: Ballot,
         /// Target slot.
         slot: Slot,
-        /// Proposed value.
-        value: Command<SM::Command>,
+        /// Proposed value, as the destination acceptor stores it.
+        value: Command<SM::Wire>,
     },
     /// Phase-2b: the acceptor accepted.
     Accepted {
@@ -154,7 +204,7 @@ pub enum Msg<SM: StateMachine> {
     /// Leader → all: a value is chosen.
     Commit {
         /// The chosen entry.
-        entry: ChosenEntry<SM::Command>,
+        entry: ChosenEntry<SM::Wire>,
     },
     /// Leader liveness + commit-index gossip.
     Heartbeat {
@@ -171,9 +221,9 @@ pub enum Msg<SM: StateMachine> {
     /// Response to [`Msg::CatchupRequest`].
     CatchupReply {
         /// A snapshot, when the requested slots were compacted away.
-        snapshot: Option<SnapshotData<SM>>,
+        snapshot: Option<Box<SnapshotData<SM>>>,
         /// A batch of chosen entries (above the snapshot, if any).
-        entries: Vec<ChosenEntry<SM::Command>>,
+        entries: Vec<ChosenEntry<SM::Wire>>,
     },
     /// Client → replica (possibly forwarded): submit an operation.
     Request {
@@ -203,7 +253,7 @@ pub enum Msg<SM: StateMachine> {
         client: NodeId,
         /// Client-local request id.
         req_id: u64,
-        /// The read-only command ([`StateMachine::is_read_only`]).
+        /// The read-only command ([`Service::is_read_only`]).
         cmd: SM::Command,
         /// The client's session floor: the applied index its last
         /// acknowledged write reached. The replica must not answer
@@ -219,11 +269,13 @@ pub enum Msg<SM: StateMachine> {
         /// The replica's applied index at evaluation time.
         at: Slot,
     },
+    /// A service-only message.
+    Ext(SM::Ext),
 }
 
-/// Message kind names, indexed by [`Msg::kind_index`]. Used to label
-/// per-type observability counters.
-pub const MSG_KINDS: [&str; 13] = [
+/// Core message kind names, indexed by [`Msg::kind_index`]; a service's
+/// [`ExtMsg::KINDS`] follow them. Used to label per-kind counters.
+pub const CORE_KINDS: [&str; 13] = [
     "prepare",
     "promise",
     "accept",
@@ -239,13 +291,17 @@ pub const MSG_KINDS: [&str; 13] = [
     "read_response",
 ];
 
-impl<SM: StateMachine> Msg<SM> {
-    /// Stable snake_case name of this message's variant.
+impl<SM: Service> Msg<SM> {
+    /// Stable snake_case name of this message's kind.
     pub fn kind(&self) -> &'static str {
-        MSG_KINDS[self.kind_index()]
+        match self {
+            Msg::Ext(e) => SM::Ext::KINDS[e.kind_index()],
+            core => CORE_KINDS[core.kind_index()],
+        }
     }
 
-    /// Index of this variant into [`MSG_KINDS`].
+    /// Index of this message's kind: into [`CORE_KINDS`], then past it
+    /// into the service's [`ExtMsg::KINDS`].
     pub fn kind_index(&self) -> usize {
         match self {
             Msg::Prepare { .. } => 0,
@@ -261,6 +317,7 @@ impl<SM: StateMachine> Msg<SM> {
             Msg::Response { .. } => 10,
             Msg::ReadRequest { .. } => 11,
             Msg::ReadResponse { .. } => 12,
+            Msg::Ext(e) => CORE_KINDS.len() + e.kind_index(),
         }
     }
 }

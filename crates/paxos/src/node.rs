@@ -5,14 +5,15 @@ use simnet::{Actor, Context, NodeId, TimerToken};
 use crate::client::ClientState;
 use crate::msg::Msg;
 use crate::open_loop::OpenLoopClient;
-use crate::replica::{Replica, StateMachine};
+use crate::replica::Replica;
+use crate::service::Service;
 
-/// A node in a Paxos simulation: server replica or client.
+/// A node in a replicated-service simulation: server replica or client.
 // Replica state dwarfs client state by design; one enum per simulation
 // node is the simnet contract, and nodes are few.
 #[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug)]
-pub enum PaxosNode<SM: StateMachine> {
+pub enum PaxosNode<SM: Service> {
     /// A replica participating in consensus.
     Server(Replica<SM>),
     /// A closed-loop client.
@@ -21,7 +22,7 @@ pub enum PaxosNode<SM: StateMachine> {
     OpenLoop(OpenLoopClient<SM>),
 }
 
-impl<SM: StateMachine> PaxosNode<SM> {
+impl<SM: Service> PaxosNode<SM> {
     /// The replica state, if this is a server.
     pub fn as_server(&self) -> Option<&Replica<SM>> {
         match self {
@@ -71,7 +72,7 @@ impl<SM: StateMachine> PaxosNode<SM> {
     }
 }
 
-impl<SM: StateMachine> Actor for PaxosNode<SM> {
+impl<SM: Service> Actor for PaxosNode<SM> {
     type Msg = Msg<SM>;
 
     fn on_start(&mut self, ctx: &mut Context<Msg<SM>>) {

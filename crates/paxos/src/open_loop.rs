@@ -22,7 +22,7 @@ use simnet::{Context, NodeId, SimTime, TimerToken};
 
 use crate::ballot::Slot;
 use crate::msg::{ClientOp, Msg};
-use crate::replica::StateMachine;
+use crate::service::Service;
 
 /// Arrival-release timer (tokens 0–2 belong to the replica and the
 /// closed-loop client).
@@ -37,7 +37,7 @@ fn sim_micros(t: SimTime) -> u64 {
 
 /// One scheduled operation and its outcome.
 #[derive(Clone, Debug)]
-pub struct OpenOp<SM: StateMachine> {
+pub struct OpenOp<SM: Service> {
     /// The command.
     pub cmd: SM::Command,
     /// Scheduled arrival time (latency is measured from here).
@@ -48,9 +48,9 @@ pub struct OpenOp<SM: StateMachine> {
     pub read: bool,
 }
 
-/// An open-loop session actor driving one Paxos cluster.
+/// An open-loop session actor driving one replicated service.
 #[derive(Clone, Debug)]
-pub struct OpenLoopClient<SM: StateMachine> {
+pub struct OpenLoopClient<SM: Service> {
     me: NodeId,
     servers: Vec<NodeId>,
     timeout: SimTime,
@@ -81,7 +81,7 @@ pub struct OpenLoopClient<SM: StateMachine> {
     obs: Obs,
 }
 
-impl<SM: StateMachine> OpenLoopClient<SM> {
+impl<SM: Service> OpenLoopClient<SM> {
     /// A session that plays `schedule` (must be sorted by time) against
     /// `servers`. `req_id`s are assigned in schedule order starting at 1.
     pub fn new(me: NodeId, servers: Vec<NodeId>, schedule: Vec<(SimTime, SM::Command)>) -> Self {
@@ -103,7 +103,7 @@ impl<SM: StateMachine> OpenLoopClient<SM> {
         OpenLoopClient {
             me,
             servers,
-            timeout: SimTime::from_millis(1_000),
+            timeout: SM::PROFILE.session_timeout,
             local_reads: false,
             trace_every: 1,
             records,

@@ -1,4 +1,5 @@
-//! The replica: acceptor + proposer + learner + state-machine host.
+//! The replica: acceptor + proposer + learner + service host — the one
+//! Multi-Paxos engine, generic over the [`Service`] it replicates.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
@@ -10,36 +11,9 @@ use simnet::{Context, NodeId, SimTime, TimerToken};
 use crate::ballot::{Ballot, Slot};
 use crate::msg::{
     AcceptedEntry, BatchEntry, ChosenEntry, ClientOp, Command, Msg, QuorumRule, SnapshotData,
-    MSG_KINDS,
+    CORE_KINDS,
 };
-
-/// A deterministic replicated state machine.
-pub trait StateMachine: Clone {
-    /// Commands the machine applies.
-    type Command: Clone + std::fmt::Debug;
-    /// Responses it produces.
-    type Response: Clone + std::fmt::Debug;
-
-    /// Apply one command, mutating the state and producing a response.
-    /// Must be deterministic: identical command sequences yield identical
-    /// states on every replica.
-    fn apply(&mut self, cmd: &Self::Command) -> Self::Response;
-
-    /// Whether `cmd` leaves the state unchanged when applied. Read-only
-    /// commands may be served by followers from their applied prefix
-    /// (session monotonicity, gated by the client's floor) instead of
-    /// going through the log. Must agree with [`StateMachine::peek`]:
-    /// `is_read_only(cmd)` implies `peek(cmd)` returns `Some`.
-    fn is_read_only(_cmd: &Self::Command) -> bool {
-        false
-    }
-
-    /// Evaluate a read-only command against the current state without
-    /// mutating it. Returns `None` for commands that are not read-only.
-    fn peek(&self, _cmd: &Self::Command) -> Option<Self::Response> {
-        None
-    }
-}
+use crate::service::{ExtMsg, JoinField, Service};
 
 /// Static replica configuration.
 #[derive(Clone, Debug)]
@@ -53,8 +27,11 @@ pub struct ReplicaConfig {
     pub heartbeat_every: SimTime,
     /// Election timeout range (randomized per deadline).
     pub election_timeout: (SimTime, SimTime),
-    /// Re-broadcast period for unacknowledged proposals.
+    /// Re-broadcast period for unacknowledged proposals (and for the
+    /// store's shard pulls).
     pub proposal_retry: SimTime,
+    /// The store gives up on a read after this long without `m` shards.
+    pub read_timeout: SimTime,
     /// Maximum entries per catch-up reply batch.
     pub catchup_batch: usize,
     /// Compact the log (snapshot + prune) once this many slots have been
@@ -72,7 +49,7 @@ pub struct ReplicaConfig {
     /// With a bound, excess requests queue at the leader and are
     /// batched into slots as the window frees up.
     pub pipeline: usize,
-    /// Serve read-only commands ([`StateMachine::is_read_only`]) from
+    /// Serve read-only commands ([`Service::is_read_only`]) from
     /// the local applied state instead of the log. Guarantees session
     /// monotonicity (a read never precedes the issuing client's last
     /// acknowledged write), not full linearizability.
@@ -91,6 +68,7 @@ impl Default for ReplicaConfig {
             heartbeat_every: SimTime::from_millis(200),
             election_timeout: (SimTime::from_millis(800), SimTime::from_millis(1600)),
             proposal_retry: SimTime::from_millis(400),
+            read_timeout: SimTime::from_secs(5),
             catchup_batch: 512,
             compact_after: Some(4096),
             batch_max_ops: 1,
@@ -102,18 +80,31 @@ impl Default for ReplicaConfig {
     }
 }
 
+impl ReplicaConfig {
+    /// The defaults for a θ(m, n) RS-Paxos group: `⌈(n+m)/2⌉` quorums
+    /// and no compaction (a peer's snapshot would carry its own shards,
+    /// not the receiver's).
+    pub fn rs_paxos(m: usize) -> Self {
+        ReplicaConfig {
+            quorum: QuorumRule::RsPaxos { m },
+            compact_after: None,
+            ..ReplicaConfig::default()
+        }
+    }
+}
+
 const TICK_TOKEN: TimerToken = TimerToken(0);
 /// Linger timer for a partial batch (token 1 is the client tick).
 const BATCH_TOKEN: TimerToken = TimerToken(2);
 
 /// The proposer's phase.
 #[derive(Clone, Debug)]
-enum Phase<C> {
+enum Phase<W> {
     /// Passive: following a (possibly unknown) leader.
     Follower,
     /// Campaigning: collecting promises for `ballot`.
     Preparing {
-        promises: HashMap<NodeId, (Vec<AcceptedEntry<C>>, Slot)>,
+        promises: HashMap<NodeId, (Vec<AcceptedEntry<W>>, Slot)>,
     },
     /// Leading: the stable proposer for `ballot`.
     Leading,
@@ -121,8 +112,11 @@ enum Phase<C> {
 
 /// An in-flight proposal at the leader.
 #[derive(Clone, Debug)]
-struct Proposal<C> {
-    value: Command<C>,
+struct Proposal<S: Service> {
+    value: Command<S::Command>,
+    /// The service's encoding of `value`, reused for every destination
+    /// and retry.
+    enc: S::Encoded,
     acks: HashSet<NodeId>,
     sent_at: SimTime,
     /// Open per-operation propose span, a causal child of the request
@@ -138,8 +132,9 @@ struct Proposal<C> {
 #[derive(Clone, Debug)]
 struct ReplicaMetrics {
     obs: Obs,
-    sent: [Counter; MSG_KINDS.len()],
-    recv: [Counter; MSG_KINDS.len()],
+    /// Indexed by [`Msg::kind_index`].
+    sent: Vec<Counter>,
+    recv: Vec<Counter>,
     elections: Counter,
     leadership: Counter,
     ballot_round: Gauge,
@@ -152,19 +147,36 @@ struct ReplicaMetrics {
 }
 
 impl ReplicaMetrics {
-    fn new(obs: Obs) -> Self {
+    fn new<S: Service>(obs: Obs) -> Self {
+        let profile = S::PROFILE;
+        let p = profile.prefix;
+        // Instruments a service never uses stay unregistered (inert).
+        let counter = |name: String, used: bool| {
+            if used {
+                obs.counter(&name)
+            } else {
+                Counter::default()
+            }
+        };
+        let kinds = || CORE_KINDS.iter().chain(S::Ext::KINDS);
+        let kind_used =
+            |kind: &str| profile.local_reads || !matches!(kind, "read_request" | "read_response");
         ReplicaMetrics {
-            sent: std::array::from_fn(|i| obs.counter(&format!("paxos.msg_sent.{}", MSG_KINDS[i]))),
-            recv: std::array::from_fn(|i| obs.counter(&format!("paxos.msg_recv.{}", MSG_KINDS[i]))),
-            elections: obs.counter("paxos.elections_started"),
-            leadership: obs.counter("paxos.leadership_acquired"),
-            ballot_round: obs.gauge("paxos.ballot_round"),
-            phase1_micros: obs.histogram("paxos.phase1_micros"),
-            phase2_micros: obs.histogram("paxos.phase2_micros"),
-            batches_proposed: obs.counter("paxos.batches_proposed"),
-            batched_ops: obs.counter("paxos.batched_ops"),
-            reads_local: obs.counter("paxos.reads_local"),
-            reads_deferred: obs.counter("paxos.reads_deferred"),
+            sent: kinds()
+                .map(|k| counter(format!("{p}.msg_sent.{k}"), kind_used(k)))
+                .collect(),
+            recv: kinds()
+                .map(|k| counter(format!("{p}.msg_recv.{k}"), kind_used(k)))
+                .collect(),
+            elections: obs.counter(&format!("{p}.elections_started")),
+            leadership: obs.counter(&format!("{p}.leadership_acquired")),
+            ballot_round: obs.gauge(&format!("{p}.ballot_round")),
+            phase1_micros: obs.histogram(&format!("{p}.phase1_micros")),
+            phase2_micros: obs.histogram(&format!("{p}.phase2_micros")),
+            batches_proposed: obs.counter(&format!("{p}.batches_proposed")),
+            batched_ops: obs.counter(&format!("{p}.batched_ops")),
+            reads_local: counter(format!("{p}.reads_local"), profile.local_reads),
+            reads_deferred: counter(format!("{p}.reads_deferred"), profile.local_reads),
             obs,
         }
     }
@@ -199,14 +211,18 @@ struct WaitingRead<C> {
     floor: Slot,
 }
 
+/// A slot's highest accepted ballot in a prepare quorum and every copy
+/// accepted at it.
+type HighestAccepted<W> = (Ballot, Vec<Command<W>>);
+
 /// Per-slot acceptor state.
 #[derive(Clone, Debug)]
-struct SlotState<C> {
-    accepted: Option<(Ballot, Command<C>)>,
-    chosen: Option<Command<C>>,
+struct SlotState<W> {
+    accepted: Option<(Ballot, Command<W>)>,
+    chosen: Option<Command<W>>,
 }
 
-impl<C> Default for SlotState<C> {
+impl<W> Default for SlotState<W> {
     fn default() -> Self {
         SlotState {
             accepted: None,
@@ -215,9 +231,76 @@ impl<C> Default for SlotState<C> {
     }
 }
 
-/// A Multi-Paxos replica hosting a [`StateMachine`].
+/// What a [`Service`] hook may do to the replica hosting it: read the
+/// clock and leadership, send service-only messages, and answer clients.
+pub struct Io<'a, S: Service> {
+    ctx: &'a mut Context<Msg<S>>,
+    me: NodeId,
+    view: &'a [NodeId],
+    leading: bool,
+    applied: Slot,
+    dedup: &'a mut HashMap<NodeId, (u64, Option<S::Response>)>,
+    sent: &'a [Counter],
+    cfg: &'a ReplicaConfig,
+}
+
+impl<S: Service> Io<'_, S> {
+    /// The replica's current (skewed) time.
+    pub fn now(&self) -> SimTime {
+        self.ctx.now
+    }
+
+    /// Whether the hosting replica currently leads.
+    pub fn is_leader(&self) -> bool {
+        self.leading
+    }
+
+    /// The hosting replica's configuration.
+    pub fn config(&self) -> &ReplicaConfig {
+        self.cfg
+    }
+
+    /// Send a service-only message, counting it by kind.
+    pub fn send(&mut self, to: NodeId, msg: S::Ext) {
+        self.sent[CORE_KINDS.len() + msg.kind_index()].inc();
+        self.ctx.send(to, Msg::Ext(msg));
+    }
+
+    /// Broadcast a service-only message to the view (self excluded),
+    /// counting each copy by kind.
+    pub fn broadcast(&mut self, msg: S::Ext) {
+        let fanout = self.view.iter().filter(|&&p| p != self.me).count();
+        self.sent[CORE_KINDS.len() + msg.kind_index()].add(fanout as u64);
+        self.ctx.broadcast(self.view.iter(), Msg::Ext(msg));
+    }
+
+    /// Answer `(client, req_id)`: record the response in the dedup cache
+    /// unless a later request of the client is already there, and send
+    /// it when this replica leads.
+    pub fn finish(&mut self, client: NodeId, req_id: u64, resp: S::Response) {
+        let newer = self
+            .dedup
+            .get(&client)
+            .map(|(last, _)| *last < req_id)
+            .unwrap_or(true);
+        if newer {
+            self.dedup.insert(client, (req_id, Some(resp.clone())));
+        }
+        if self.leading {
+            let msg = Msg::Response {
+                req_id,
+                resp: Some(resp),
+                at: self.applied,
+            };
+            self.sent[msg.kind_index()].inc();
+            self.ctx.send(client, msg);
+        }
+    }
+}
+
+/// A Multi-Paxos replica hosting a [`Service`].
 #[derive(Clone, Debug)]
-pub struct Replica<SM: StateMachine> {
+pub struct Replica<S: Service> {
     me: NodeId,
     cfg: ReplicaConfig,
     /// Current membership view, sorted.
@@ -227,9 +310,9 @@ pub struct Replica<SM: StateMachine> {
     /// True once this replica applied its own removal.
     retired: bool,
 
-    sm: SM,
+    sm: S,
     /// Per-slot protocol state (pruned below `applied`).
-    slots: BTreeMap<Slot, SlotState<SM::Command>>,
+    slots: BTreeMap<Slot, SlotState<S::Wire>>,
     /// First unchosen slot (everything below is chosen).
     commit_index: Slot,
     /// First unapplied slot (`applied ≤ commit_index`).
@@ -238,28 +321,31 @@ pub struct Replica<SM: StateMachine> {
     /// implied by the live state machine.
     floor: Slot,
     /// Exactly-once cache: client → (last applied req_id, response).
-    dedup: HashMap<NodeId, (u64, Option<SM::Response>)>,
+    dedup: HashMap<NodeId, (u64, Option<S::Response>)>,
+    /// Lifetime count of batch slot values applied (survives reboots;
+    /// chaos sweeps assert the batched path actually ran).
+    batches_applied: u64,
 
     /// Highest ballot promised (acceptor duty).
     promised: Ballot,
     /// Our own ballot when campaigning or leading.
     ballot: Ballot,
-    phase: Phase<SM::Command>,
+    phase: Phase<S::Wire>,
     /// Who we believe leads (for request forwarding).
     leader: Option<NodeId>,
     /// In-flight proposals (leader only).
-    proposals: BTreeMap<Slot, Proposal<SM::Command>>,
+    proposals: BTreeMap<Slot, Proposal<S>>,
     /// Next free slot (leader only).
     next_slot: Slot,
     /// Requests waiting for leadership, for a reconfig to commit, for
     /// the pipeline window, or for their batch to fill — each with the
     /// causal trace it arrived under.
-    pending: VecDeque<PendingOp<SM::Command>>,
+    pending: VecDeque<PendingOp<S::Command>>,
     /// True while a Reconfig proposal is in flight (stalls later ones).
     reconfig_in_flight: bool,
     /// Follower-local reads waiting for the applied prefix to reach
     /// their session floor; drained in one combined pass per advance.
-    waiting_reads: Vec<WaitingRead<SM::Command>>,
+    waiting_reads: Vec<WaitingRead<S::Command>>,
 
     election_deadline: SimTime,
     last_heartbeat_sent: SimTime,
@@ -269,15 +355,18 @@ pub struct Replica<SM: StateMachine> {
     phase1_open: Option<(SpanHandle, SimTime)>,
 }
 
-impl<SM: StateMachine> Replica<SM> {
-    /// Create a replica with the given identity, initial view, state
-    /// machine and RNG seed (used only for election jitter).
-    pub fn new(me: NodeId, view: Vec<NodeId>, sm: SM, cfg: ReplicaConfig, seed: u64) -> Self {
+impl<S: Service> Replica<S> {
+    /// Create a replica with the given identity, initial view, service
+    /// state and RNG seed (used only for election jitter).
+    pub fn new(me: NodeId, view: Vec<NodeId>, sm: S, cfg: ReplicaConfig, seed: u64) -> Self {
         let mut view = view;
         view.sort_unstable();
         view.dedup();
         assert!(view.contains(&me) || view.is_empty(), "replica not in view");
-        let metrics = ReplicaMetrics::new(cfg.obs.clone());
+        let mut sm = sm;
+        sm.attach(view.len(), &cfg);
+        let metrics = ReplicaMetrics::new::<S>(cfg.obs.clone());
+        let salt = S::PROFILE.replica_salt;
         Replica {
             me,
             cfg,
@@ -290,6 +379,7 @@ impl<SM: StateMachine> Replica<SM> {
             applied: 0,
             floor: 0,
             dedup: HashMap::new(),
+            batches_applied: 0,
             promised: Ballot::BOTTOM,
             ballot: Ballot::BOTTOM,
             phase: Phase::Follower,
@@ -301,7 +391,7 @@ impl<SM: StateMachine> Replica<SM> {
             waiting_reads: Vec::new(),
             election_deadline: SimTime::ZERO,
             last_heartbeat_sent: SimTime::ZERO,
-            rng: ChaCha8Rng::seed_from_u64(seed ^ (me.0 as u64).wrapping_mul(0x9E37_79B9)),
+            rng: ChaCha8Rng::seed_from_u64(seed ^ (me.0 as u64).wrapping_mul(salt)),
             metrics,
             phase1_open: None,
         }
@@ -339,8 +429,8 @@ impl<SM: StateMachine> Replica<SM> {
         self.commit_index
     }
 
-    /// The hosted state machine (applied prefix).
-    pub fn state_machine(&self) -> &SM {
+    /// The hosted service state (applied prefix).
+    pub fn state_machine(&self) -> &S {
         &self.sm
     }
 
@@ -349,9 +439,15 @@ impl<SM: StateMachine> Replica<SM> {
         self.floor
     }
 
-    /// Package the applied state as a snapshot.
-    fn snapshot(&self) -> SnapshotData<SM> {
-        SnapshotData {
+    /// Lifetime count of batch slot values this replica has applied.
+    pub fn batches_applied(&self) -> u64 {
+        self.batches_applied
+    }
+
+    /// Package the applied state as a snapshot (boxed: it rides in
+    /// messages, which stay small without it).
+    fn snapshot(&self) -> Box<SnapshotData<S>> {
+        Box::new(SnapshotData {
             applied: self.applied,
             view: self.view.clone(),
             view_id: self.view_id,
@@ -361,11 +457,11 @@ impl<SM: StateMachine> Replica<SM> {
                 .iter()
                 .map(|(&c, (r, resp))| (c, *r, resp.clone()))
                 .collect(),
-        }
+        })
     }
 
     /// Adopt a snapshot that is ahead of the local applied prefix.
-    fn install_snapshot(&mut self, snap: SnapshotData<SM>, now: SimTime) {
+    fn install_snapshot(&mut self, snap: SnapshotData<S>, now: SimTime) {
         if snap.applied <= self.applied {
             return;
         }
@@ -413,7 +509,7 @@ impl<SM: StateMachine> Replica<SM> {
     }
 
     /// The chosen log prefix as applied commands (for consistency checks).
-    pub fn applied_prefix(&self) -> Vec<(Slot, Command<SM::Command>)> {
+    pub fn applied_prefix(&self) -> Vec<(Slot, Command<S::Wire>)> {
         self.slots
             .iter()
             .filter(|(s, _)| **s < self.applied)
@@ -425,33 +521,63 @@ impl<SM: StateMachine> Replica<SM> {
         self.cfg.quorum.quorum_size(self.view.len())
     }
 
+    /// `node`'s position in the view — the shard index of services that
+    /// code by position. Those only ever address members; a node outside
+    /// the view maps past the end.
+    fn idx_of(&self, node: NodeId) -> usize {
+        self.view
+            .iter()
+            .position(|&n| n == node)
+            .unwrap_or(usize::MAX)
+    }
+
+    /// The service state alongside the [`Io`] its hooks act through.
+    fn service_io<'a>(&'a mut self, ctx: &'a mut Context<Msg<S>>) -> (&'a mut S, Io<'a, S>) {
+        let io = Io {
+            ctx,
+            me: self.me,
+            view: &self.view,
+            leading: matches!(self.phase, Phase::Leading),
+            applied: self.applied,
+            dedup: &mut self.dedup,
+            sent: &self.metrics.sent,
+            cfg: &self.cfg,
+        };
+        (&mut self.sm, io)
+    }
+
     // ------------------------------------------------------ observability
 
     /// Send one message, counting it by kind.
-    fn send_msg(&self, ctx: &mut Context<Msg<SM>>, to: NodeId, msg: Msg<SM>) {
+    fn send_msg(&self, ctx: &mut Context<Msg<S>>, to: NodeId, msg: Msg<S>) {
         self.metrics.sent[msg.kind_index()].inc();
         ctx.send(to, msg);
     }
 
     /// Broadcast to the view (self excluded, matching
     /// [`Context::broadcast`]), counting each copy by kind.
-    fn broadcast_msg(&self, ctx: &mut Context<Msg<SM>>, msg: Msg<SM>) {
+    fn broadcast_msg(&self, ctx: &mut Context<Msg<S>>, msg: Msg<S>) {
         let fanout = self.view.iter().filter(|&&p| p != self.me).count();
         self.metrics.sent[msg.kind_index()].add(fanout as u64);
         ctx.broadcast(self.view.iter(), msg);
     }
 
-    /// [`Replica::broadcast_msg`] under an explicit trace context, so
-    /// per-operation protocol traffic (Accepts, Commits) stays parented
-    /// under the operation's propose span rather than whatever message
-    /// happened to trigger the broadcast.
-    fn broadcast_msg_traced(&self, ctx: &mut Context<Msg<SM>>, msg: Msg<SM>, trace: TraceContext) {
-        let me = self.me;
-        let fanout = self.view.iter().filter(|&&p| p != me).count();
-        self.metrics.sent[msg.kind_index()].add(fanout as u64);
-        for &p in &self.view {
-            if p != me {
-                ctx.send_traced(p, msg.clone(), trace);
+    /// Send every peer (self excluded) its own message, built from its
+    /// view position, under an explicit trace context — so per-operation
+    /// protocol traffic (Accepts, Commits, retries) stays parented under
+    /// the operation's propose span rather than whatever message
+    /// happened to trigger the send.
+    fn send_to_peers(
+        &self,
+        ctx: &mut Context<Msg<S>>,
+        trace: TraceContext,
+        mut msg_for: impl FnMut(usize) -> Msg<S>,
+    ) {
+        for (idx, &peer) in self.view.iter().enumerate() {
+            if peer != self.me {
+                let msg = msg_for(idx);
+                self.metrics.sent[msg.kind_index()].inc();
+                ctx.send_traced(peer, msg, trace);
             }
         }
     }
@@ -469,11 +595,13 @@ impl<SM: StateMachine> Replica<SM> {
     }
 
     fn step_down(&mut self, now: SimTime) {
+        let names = S::PROFILE.spans;
         if let Some((span, _)) = self.phase1_open.take() {
-            self.metrics
-                .obs
-                .trace
-                .span_close(span, "paxos.election", &[("won", FieldValue::Bool(false))]);
+            self.metrics.obs.trace.span_close(
+                span,
+                names.election,
+                &[("won", FieldValue::Bool(false))],
+            );
         }
         let open_spans: Vec<(SpanHandle, SpanHandle)> = self
             .proposals
@@ -483,24 +611,28 @@ impl<SM: StateMachine> Replica<SM> {
         for (span, propose_span) in open_spans {
             self.metrics.obs.trace.span_close(
                 span,
-                "paxos.quorum_wait",
+                names.quorum_wait,
                 &[("aborted", FieldValue::Bool(true))],
             );
             self.metrics.obs.trace.span_close(
                 propose_span,
-                "paxos.propose",
+                names.propose,
                 &[("aborted", FieldValue::Bool(true))],
             );
         }
         self.phase = Phase::Follower;
         self.proposals.clear();
+        if S::PROFILE.step_down_drops_pending {
+            self.pending.clear();
+        }
+        self.sm.on_step_down();
         self.reconfig_in_flight = false;
         self.reset_election_deadline(now);
     }
 
     /// Recover after a crash: drop volatile (in-memory) state, keep the
     /// durable (on-disk) state — `promised`, accepted/chosen slots, the
-    /// applied state machine and the exactly-once cache.
+    /// applied service state and the exactly-once cache.
     ///
     /// Paxos quorum intersection is only sound if acceptor state survives
     /// restarts: a node that re-promises with an empty accepted set can
@@ -519,10 +651,11 @@ impl<SM: StateMachine> Replica<SM> {
 
     // ----------------------------------------------------------- election
 
-    fn start_election(&mut self, ctx: &mut Context<Msg<SM>>) {
+    fn start_election(&mut self, ctx: &mut Context<Msg<S>>) {
         if self.retired || !self.view.contains(&self.me) {
             return;
         }
+        let names = S::PROFILE.spans;
         let round = self.promised.round.max(self.ballot.round) + 1;
         self.ballot = Ballot {
             round,
@@ -541,13 +674,14 @@ impl<SM: StateMachine> Replica<SM> {
         self.metrics.ballot_round.set(round as f64);
         if let Some((span, _)) = self.phase1_open.take() {
             // A re-election supersedes the previous campaign.
-            self.metrics
-                .obs
-                .trace
-                .span_close(span, "paxos.election", &[("won", FieldValue::Bool(false))]);
+            self.metrics.obs.trace.span_close(
+                span,
+                names.election,
+                &[("won", FieldValue::Bool(false))],
+            );
         }
         let span = self.metrics.obs.trace.span_open(
-            "paxos.election",
+            names.election,
             &[
                 ("node", FieldValue::U64(self.me.0 as u64)),
                 ("round", FieldValue::U64(round)),
@@ -563,7 +697,7 @@ impl<SM: StateMachine> Replica<SM> {
         self.try_become_leader(ctx);
     }
 
-    fn accepted_tail(&self, from: Slot) -> Vec<AcceptedEntry<SM::Command>> {
+    fn accepted_tail(&self, from: Slot) -> Vec<AcceptedEntry<S::Wire>> {
         self.slots
             .range(from..)
             .filter_map(|(&slot, st)| {
@@ -579,19 +713,21 @@ impl<SM: StateMachine> Replica<SM> {
             .collect()
     }
 
-    fn chosen_tail(&self, from: Slot) -> Vec<ChosenEntry<SM::Command>> {
+    /// The chosen entries from `from` on, as `dest` should receive them.
+    fn chosen_tail(&self, from: Slot, dest: NodeId) -> Vec<ChosenEntry<S::Wire>> {
+        let dest = self.idx_of(dest);
         self.slots
             .range(from..)
             .filter_map(|(&slot, st)| {
                 st.chosen.as_ref().map(|value| ChosenEntry {
                     slot,
-                    value: value.clone(),
+                    value: self.sm.reshape_for(value, slot, dest),
                 })
             })
             .collect()
     }
 
-    fn try_become_leader(&mut self, ctx: &mut Context<Msg<SM>>) {
+    fn try_become_leader(&mut self, ctx: &mut Context<Msg<S>>) {
         let quorum = self.quorum();
         let Phase::Preparing { promises } = &self.phase else {
             return;
@@ -599,60 +735,84 @@ impl<SM: StateMachine> Replica<SM> {
         if promises.len() < quorum {
             return;
         }
-        let promises = promises.clone();
-        // Merge accepted values: per slot, keep the highest-ballot value.
-        let mut merged: BTreeMap<Slot, (Ballot, Command<SM::Command>)> = BTreeMap::new();
+        let Phase::Preparing { promises } = std::mem::replace(&mut self.phase, Phase::Leading)
+        else {
+            unreachable!("checked above");
+        };
+        // Per slot: the highest accepted ballot in the quorum and every
+        // copy accepted at it (one per acceptor). The peer with the
+        // highest commit index (first in iteration order) serves
+        // catch-up.
+        let mut merged: BTreeMap<Slot, HighestAccepted<S::Wire>> = BTreeMap::new();
         let mut max_commit = self.commit_index;
-        for (accepted, ci) in promises.values() {
-            max_commit = max_commit.max(*ci);
+        let mut best_peer = self.me;
+        for (&peer, (accepted, ci)) in &promises {
+            if *ci > max_commit {
+                max_commit = *ci;
+                best_peer = peer;
+            }
             for e in accepted {
-                let replace = merged
-                    .get(&e.slot)
-                    .map(|(b, _)| *b < e.ballot)
-                    .unwrap_or(true);
-                if replace {
-                    merged.insert(e.slot, (e.ballot, e.value.clone()));
+                let (ballot, values) = merged
+                    .entry(e.slot)
+                    .or_insert_with(|| (Ballot::BOTTOM, Vec::new()));
+                if e.ballot > *ballot {
+                    *ballot = e.ballot;
+                    *values = vec![e.value.clone()];
+                } else if e.ballot == *ballot {
+                    values.push(e.value.clone());
                 }
             }
         }
-        self.phase = Phase::Leading;
         self.leader = Some(self.me);
         self.metrics.leadership.inc();
-        self.metrics.obs.trace.event(
-            "paxos.takeover",
-            &[
-                ("node", FieldValue::U64(self.me.0 as u64)),
-                ("round", FieldValue::U64(self.ballot.round)),
-                ("commit_index", FieldValue::U64(self.commit_index)),
-                ("merged", FieldValue::U64(merged.len() as u64)),
-                (
-                    "merged_hi",
-                    FieldValue::U64(merged.keys().next_back().copied().unwrap_or(0)),
-                ),
-                (
-                    "promisers",
-                    FieldValue::U64(promises.keys().fold(0u64, |m, n| m | (1 << (n.0 as u64 % 64)))),
-                ),
-            ],
-        );
+        let names = S::PROFILE.spans;
+        if let Some(takeover) = names.takeover {
+            self.metrics.obs.trace.event(
+                takeover,
+                &[
+                    ("node", FieldValue::U64(self.me.0 as u64)),
+                    ("round", FieldValue::U64(self.ballot.round)),
+                    ("commit_index", FieldValue::U64(self.commit_index)),
+                    ("merged", FieldValue::U64(merged.len() as u64)),
+                    (
+                        "merged_hi",
+                        FieldValue::U64(merged.keys().next_back().copied().unwrap_or(0)),
+                    ),
+                    (
+                        "promisers",
+                        FieldValue::U64(
+                            promises
+                                .keys()
+                                .fold(0u64, |m, n| m | (1 << (n.0 as u64 % 64))),
+                        ),
+                    ),
+                ],
+            );
+        }
         if let Some((span, started)) = self.phase1_open.take() {
             self.metrics
                 .phase1_micros
                 .record(sim_micros(ctx.now.saturating_sub(started)));
-            self.metrics
-                .obs
-                .trace
-                .span_close(span, "paxos.election", &[("won", FieldValue::Bool(true))]);
+            self.metrics.obs.trace.span_close(
+                span,
+                names.election,
+                &[("won", FieldValue::Bool(true))],
+            );
         }
         self.last_heartbeat_sent = SimTime::ZERO; // heartbeat asap
-                                                  // Re-propose merged values, fill gaps with no-ops up to the top.
-        // Fresh proposals must start past every slot already decided, not
-        // just past the merged *accepted* entries: a chosen slot adopted
-        // from a promise can sit beyond a gap (commit_index stalls at the
-        // gap), and a peer's commit index proves everything below it was
-        // chosen somewhere. Assigning a fresh command to such a slot would
-        // overwrite a decided value.
-        let top = merged.keys().next_back().copied().map(|s| s + 1).unwrap_or(0);
+                                                  // Re-propose recovered values, fill gaps with no-ops up to the
+                                                  // top. Fresh proposals must start past every slot already
+                                                  // decided, not just past the merged *accepted* entries: a chosen
+                                                  // slot adopted from a promise can sit beyond a gap (commit_index
+                                                  // stalls at the gap), and a peer's commit index proves everything
+                                                  // below it was chosen somewhere. Assigning a fresh command to
+                                                  // such a slot would overwrite a decided value.
+        let top = merged
+            .keys()
+            .next_back()
+            .copied()
+            .map(|s| s + 1)
+            .unwrap_or(0);
         let chosen_top = self
             .slots
             .iter()
@@ -660,19 +820,15 @@ impl<SM: StateMachine> Replica<SM> {
             .find(|(_, st)| st.chosen.is_some())
             .map(|(&s, _)| s + 1)
             .unwrap_or(0);
-        self.next_slot = self
-            .commit_index
-            .max(top)
-            .max(chosen_top)
-            .max(max_commit);
-        let mut to_propose: Vec<(Slot, Command<SM::Command>)> = Vec::new();
+        self.next_slot = self.commit_index.max(top).max(chosen_top).max(max_commit);
+        let mut to_propose: Vec<(Slot, Command<S::Command>)> = Vec::new();
         for slot in self.commit_index..self.next_slot {
             if self.slot_state(slot).chosen.is_some() {
                 continue;
             }
             let value = merged
                 .get(&slot)
-                .map(|(_, v)| v.clone())
+                .map(|(_, values)| self.sm.recover(values))
                 .unwrap_or(Command::Noop);
             to_propose.push((slot, value));
         }
@@ -684,18 +840,14 @@ impl<SM: StateMachine> Replica<SM> {
             self.send_accepts(slot, value, trace, ctx);
         }
         // Lagging behind a peer's commit index: fetch the chosen prefix.
-        if max_commit > self.commit_index {
-            if let Some((&peer, _)) = promises.iter().find(|(_, (_, ci))| *ci >= max_commit) {
-                if peer != self.me {
-                    self.send_msg(
-                        ctx,
-                        peer,
-                        Msg::CatchupRequest {
-                            from_slot: self.commit_index,
-                        },
-                    );
-                }
-            }
+        if max_commit > self.commit_index && best_peer != self.me {
+            self.send_msg(
+                ctx,
+                best_peer,
+                Msg::CatchupRequest {
+                    from_slot: self.commit_index,
+                },
+            );
         }
         self.flush_pending(ctx);
         self.send_heartbeat(ctx);
@@ -703,28 +855,30 @@ impl<SM: StateMachine> Replica<SM> {
 
     // --------------------------------------------------------- proposing
 
-    fn slot_state(&mut self, slot: Slot) -> &mut SlotState<SM::Command> {
+    fn slot_state(&mut self, slot: Slot) -> &mut SlotState<S::Wire> {
         self.slots.entry(slot).or_default()
     }
 
     fn send_accepts(
         &mut self,
         slot: Slot,
-        value: Command<SM::Command>,
+        value: Command<S::Command>,
         trace: TraceContext,
-        ctx: &mut Context<Msg<SM>>,
+        ctx: &mut Context<Msg<S>>,
     ) {
         let ballot = self.ballot;
+        let enc = self.sm.encode(&value);
         // Self-accept immediately.
-        let st = self.slot_state(slot);
-        st.accepted = Some((ballot, value.clone()));
+        let mine = self.sm.wire_for(&value, &enc, self.idx_of(self.me));
+        self.slot_state(slot).accepted = Some((ballot, mine));
         let mut acks = HashSet::new();
         acks.insert(self.me);
         // Per-operation spans: the propose span is a causal child of the
         // request (or election) that produced the value; the quorum wait
-        // nests inside it and the phase-2 broadcast rides its context.
+        // nests inside it and the phase-2 sends ride its context.
+        let names = S::PROFILE.spans;
         let propose_span = self.metrics.obs.trace.span_open_causal(
-            "paxos.propose",
+            names.propose,
             trace,
             &[
                 ("slot", FieldValue::U64(slot)),
@@ -732,28 +886,25 @@ impl<SM: StateMachine> Replica<SM> {
             ],
         );
         let span = self.metrics.obs.trace.span_open_causal(
-            "paxos.quorum_wait",
+            names.quorum_wait,
             propose_span.context(),
             &[("slot", FieldValue::U64(slot))],
         );
+        self.send_to_peers(ctx, span.context(), |dest| Msg::Accept {
+            ballot,
+            slot,
+            value: self.sm.wire_for(&value, &enc, dest),
+        });
         self.proposals.insert(
             slot,
             Proposal {
-                value: value.clone(),
+                value,
+                enc,
                 acks,
                 sent_at: ctx.now,
                 propose_span,
                 span,
             },
-        );
-        self.broadcast_msg_traced(
-            ctx,
-            Msg::Accept {
-                ballot,
-                slot,
-                value,
-            },
-            span.context(),
         );
         self.maybe_choose(slot, ctx);
     }
@@ -785,7 +936,26 @@ impl<SM: StateMachine> Replica<SM> {
         })
     }
 
-    fn flush_pending(&mut self, ctx: &mut Context<Msg<SM>>) {
+    /// Dedup admission: answer a retransmission of the client's last
+    /// applied request from the cache and drop stale or in-flight
+    /// duplicates. Returns `false` when the request is already settled.
+    fn admit(&mut self, client: NodeId, req_id: u64, ctx: &mut Context<Msg<S>>) -> bool {
+        if let Some((last, resp)) = self.dedup.get(&client) {
+            if *last == req_id {
+                let resp = resp.clone();
+                let at = self.applied;
+                self.send_msg(ctx, client, Msg::Response { req_id, resp, at });
+                return false;
+            }
+            if *last > req_id {
+                return false; // stale duplicate
+            }
+        }
+        // Duplicate of an in-flight proposal: ignore (it will answer).
+        !self.in_flight_dup(client, req_id)
+    }
+
+    fn flush_pending(&mut self, ctx: &mut Context<Msg<S>>) {
         if !matches!(self.phase, Phase::Leading) {
             return;
         }
@@ -807,28 +977,17 @@ impl<SM: StateMachine> Replica<SM> {
         &mut self,
         client: NodeId,
         req_id: u64,
-        op: ClientOp<SM::Command>,
+        op: ClientOp<S::Command>,
         trace: TraceContext,
-        ctx: &mut Context<Msg<SM>>,
+        ctx: &mut Context<Msg<S>>,
     ) {
-        if let Some((last, resp)) = self.dedup.get(&client) {
-            if *last == req_id {
-                let resp = resp.clone();
-                let at = self.applied;
-                self.send_msg(ctx, client, Msg::Response { req_id, resp, at });
-                return;
-            }
-            if *last > req_id {
-                return; // stale duplicate
-            }
-        }
-        if self.in_flight_dup(client, req_id)
+        if !self.admit(client, req_id, ctx)
             || self
                 .pending
                 .iter()
                 .any(|p| p.client == client && p.req_id == req_id)
         {
-            return; // retransmission of something already queued
+            return; // settled, or a retransmission of something queued
         }
         self.pending.push_back(PendingOp {
             client,
@@ -845,13 +1004,12 @@ impl<SM: StateMachine> Replica<SM> {
     /// `force`), and the pipeline cap bounds in-flight proposals. Called
     /// on request arrival, on the linger timer, when a slot is chosen,
     /// and (forced) at leadership acquisition.
-    fn maybe_flush_batches(&mut self, force: bool, ctx: &mut Context<Msg<SM>>) {
-        if !matches!(self.phase, Phase::Leading) {
-            return;
-        }
-        let max_ops = self.cfg.batch_max_ops.max(1);
+    fn maybe_flush_batches(&mut self, force: bool, ctx: &mut Context<Msg<S>>) {
         loop {
-            if self.reconfig_in_flight || self.pending.is_empty() {
+            if !matches!(self.phase, Phase::Leading)
+                || self.reconfig_in_flight
+                || self.pending.is_empty()
+            {
                 return;
             }
             if self.cfg.pipeline > 0 && self.proposals.len() >= self.cfg.pipeline {
@@ -866,26 +1024,25 @@ impl<SM: StateMachine> Replica<SM> {
                 self.propose_op(p.client, p.req_id, p.op, p.trace, ctx);
                 continue;
             }
-            let apps = self
-                .pending
-                .iter()
-                .take_while(|p| matches!(p.op, ClientOp::App(_)))
-                .count();
+            let (take, full) = S::batch_take(
+                self.pending.iter().map(|p| (p.client, &p.op)),
+                self.pending.len(),
+                self.cfg.batch_max_ops,
+            );
             let oldest = self.pending.front().map(|p| p.at).unwrap_or(ctx.now);
             let age = ctx.now.saturating_sub(oldest);
-            if !force && apps < max_ops && age < self.cfg.batch_delay {
+            if !force && !full && age < self.cfg.batch_delay {
                 // Linger: re-check when the oldest entry's delay expires.
                 let wait = self.cfg.batch_delay.saturating_sub(age);
                 ctx.set_timer(wait.max(SimTime::from_millis(1)), BATCH_TOKEN);
                 return;
             }
-            let take = apps.min(max_ops);
-            let mut entries: Vec<BatchEntry<SM::Command>> = Vec::with_capacity(take);
+            let profile = S::PROFILE;
+            let mut entries: Vec<BatchEntry<S::Command>> = Vec::with_capacity(take);
             let mut trace: Option<TraceContext> = None;
-            for _ in 0..take {
-                let p = self.pending.pop_front().expect("counted above");
+            for p in self.pending.drain(..take) {
                 let ClientOp::App(cmd) = p.op else {
-                    unreachable!("take_while yields only App ops");
+                    unreachable!("batch_take yields only App ops");
                 };
                 // The batch's protocol traffic is parented under the
                 // first entry's trace; later joiners get a causal marker
@@ -893,10 +1050,14 @@ impl<SM: StateMachine> Replica<SM> {
                 if trace.is_none() {
                     trace = Some(p.trace);
                 } else {
+                    let field = match profile.batch_join {
+                        JoinField::ReqId => ("req_id", FieldValue::U64(p.req_id)),
+                        JoinField::Client => ("client", FieldValue::U64(p.client.0 as u64)),
+                    };
                     self.metrics.obs.trace.event_causal(
-                        "paxos.batch_join",
+                        profile.spans.batch_join,
                         p.trace,
-                        &[("req_id", FieldValue::U64(p.req_id))],
+                        &[field],
                     );
                 }
                 entries.push(BatchEntry {
@@ -905,8 +1066,10 @@ impl<SM: StateMachine> Replica<SM> {
                     cmd,
                 });
             }
-            self.metrics.batches_proposed.inc();
-            self.metrics.batched_ops.add(entries.len() as u64);
+            if entries.len() > 1 || profile.count_single_batches {
+                self.metrics.batches_proposed.inc();
+                self.metrics.batched_ops.add(entries.len() as u64);
+            }
             let value = if entries.len() == 1 {
                 let e = entries.pop().expect("len checked");
                 Command::App {
@@ -917,41 +1080,35 @@ impl<SM: StateMachine> Replica<SM> {
             } else {
                 Command::Batch(entries)
             };
-            while self
-                .slots
-                .get(&self.next_slot)
-                .is_some_and(|st| st.chosen.is_some())
-            {
-                self.next_slot += 1;
-            }
-            let slot = self.next_slot;
-            self.next_slot += 1;
+            let slot = self.allocate_slot();
             self.send_accepts(slot, value, trace.expect("take >= 1"), ctx);
         }
+    }
+
+    /// Never allocate a slot that is already decided (a commit adopted
+    /// from a peer can land beyond the contiguous prefix).
+    fn allocate_slot(&mut self) -> Slot {
+        while self
+            .slots
+            .get(&self.next_slot)
+            .is_some_and(|st| st.chosen.is_some())
+        {
+            self.next_slot += 1;
+        }
+        let slot = self.next_slot;
+        self.next_slot += 1;
+        slot
     }
 
     fn propose_op(
         &mut self,
         client: NodeId,
         req_id: u64,
-        op: ClientOp<SM::Command>,
+        op: ClientOp<S::Command>,
         trace: TraceContext,
-        ctx: &mut Context<Msg<SM>>,
+        ctx: &mut Context<Msg<S>>,
     ) {
-        // Dedup retransmissions of the last applied request.
-        if let Some((last, resp)) = self.dedup.get(&client) {
-            if *last == req_id {
-                let resp = resp.clone();
-                let at = self.applied;
-                self.send_msg(ctx, client, Msg::Response { req_id, resp, at });
-                return;
-            }
-            if *last > req_id {
-                return; // stale duplicate
-            }
-        }
-        // Duplicate of an in-flight proposal: ignore (it will answer).
-        if self.in_flight_dup(client, req_id) {
+        if !self.admit(client, req_id, ctx) {
             return;
         }
         let value = match op {
@@ -980,21 +1137,11 @@ impl<SM: StateMachine> Replica<SM> {
                 }
             }
         };
-        // Never allocate a slot that is already decided (a commit adopted
-        // from a peer can land beyond the contiguous prefix).
-        while self
-            .slots
-            .get(&self.next_slot)
-            .is_some_and(|st| st.chosen.is_some())
-        {
-            self.next_slot += 1;
-        }
-        let slot = self.next_slot;
-        self.next_slot += 1;
+        let slot = self.allocate_slot();
         self.send_accepts(slot, value, trace, ctx);
     }
 
-    fn maybe_choose(&mut self, slot: Slot, ctx: &mut Context<Msg<SM>>) {
+    fn maybe_choose(&mut self, slot: Slot, ctx: &mut Context<Msg<S>>) {
         let quorum = self.quorum();
         let Some(p) = self.proposals.get(&slot) else {
             return;
@@ -1003,13 +1150,13 @@ impl<SM: StateMachine> Replica<SM> {
             return;
         }
         let p = self.proposals.remove(&slot).expect("checked above");
-        let value = p.value;
+        let names = S::PROFILE.spans;
         self.metrics
             .phase2_micros
             .record(sim_micros(ctx.now.saturating_sub(p.sent_at)));
         self.metrics.obs.trace.span_close(
             p.span,
-            "paxos.quorum_wait",
+            names.quorum_wait,
             &[
                 ("slot", FieldValue::U64(slot)),
                 ("acks", FieldValue::U64(p.acks.len() as u64)),
@@ -1017,30 +1164,30 @@ impl<SM: StateMachine> Replica<SM> {
         );
         let propose_ctx = p.propose_span.context();
         self.metrics.obs.trace.event_causal(
-            "paxos.commit",
+            names.commit,
             propose_ctx,
             &[("slot", FieldValue::U64(slot))],
         );
-        self.metrics
-            .obs
-            .trace
-            .span_close(p.propose_span, "paxos.propose", &[("slot", FieldValue::U64(slot))]);
+        self.metrics.obs.trace.span_close(
+            p.propose_span,
+            names.propose,
+            &[("slot", FieldValue::U64(slot))],
+        );
         // Chosen values are write-once (mirroring `note_chosen`): if a
         // commit for this slot was adopted while our proposal was in
-        // flight, Paxos guarantees the values agree — keep and re-announce
-        // the stored one rather than trusting the in-flight copy.
-        let st = self.slot_state(slot);
-        if st.chosen.is_none() {
-            st.chosen = Some(value);
+        // flight, Paxos guarantees the values agree — keep the stored one.
+        if self.slot_state(slot).chosen.is_none() {
+            let mine = self.sm.wire_for(&p.value, &p.enc, self.idx_of(self.me));
+            self.slot_state(slot).chosen = Some(mine);
         }
-        let value = st.chosen.clone().expect("just set");
-        self.broadcast_msg_traced(
-            ctx,
-            Msg::Commit {
-                entry: ChosenEntry { slot, value },
+        self.sm.on_chosen(slot, &p.value);
+        // Commit to every peer with its own copy.
+        self.send_to_peers(ctx, propose_ctx, |dest| Msg::Commit {
+            entry: ChosenEntry {
+                slot,
+                value: self.sm.wire_for(&p.value, &p.enc, dest),
             },
-            propose_ctx,
-        );
+        });
         self.advance(ctx);
         // A slot just left the pipeline window: queued requests may go.
         if self.batching_enabled() {
@@ -1050,16 +1197,17 @@ impl<SM: StateMachine> Replica<SM> {
 
     // ----------------------------------------------------------- learning
 
-    fn note_chosen(&mut self, entry: ChosenEntry<SM::Command>, ctx: &mut Context<Msg<SM>>) {
+    fn note_chosen(&mut self, entry: ChosenEntry<S::Wire>, ctx: &mut Context<Msg<S>>) {
         let st = self.slot_state(entry.slot);
-        if st.chosen.is_none() {
-            st.chosen = Some(entry.value);
+        match st.chosen.as_mut() {
+            None => st.chosen = Some(entry.value),
+            Some(existing) => S::upgrade_chosen(existing, entry.value),
         }
         self.advance(ctx);
     }
 
     /// Apply every contiguously chosen slot, then compact when due.
-    fn advance(&mut self, ctx: &mut Context<Msg<SM>>) {
+    fn advance(&mut self, ctx: &mut Context<Msg<S>>) {
         loop {
             let Some(value) = self
                 .slots
@@ -1078,7 +1226,7 @@ impl<SM: StateMachine> Replica<SM> {
 
     /// The flat-combining pass: one scan at the current applied point
     /// answers every parked read whose session floor has been reached.
-    fn serve_waiting_reads(&mut self, ctx: &mut Context<Msg<SM>>) {
+    fn serve_waiting_reads(&mut self, ctx: &mut Context<Msg<S>>) {
         if self.waiting_reads.is_empty() {
             return;
         }
@@ -1098,8 +1246,8 @@ impl<SM: StateMachine> Replica<SM> {
         &mut self,
         client: NodeId,
         req_id: u64,
-        cmd: &SM::Command,
-        ctx: &mut Context<Msg<SM>>,
+        cmd: &S::Command,
+        ctx: &mut Context<Msg<S>>,
     ) {
         let resp = self
             .sm
@@ -1110,13 +1258,13 @@ impl<SM: StateMachine> Replica<SM> {
         self.send_msg(ctx, client, Msg::ReadResponse { req_id, resp, at });
     }
 
-    fn apply(&mut self, slot: Slot, value: Command<SM::Command>, ctx: &mut Context<Msg<SM>>) {
+    fn apply(&mut self, slot: Slot, value: Command<S::Wire>, ctx: &mut Context<Msg<S>>) {
         debug_assert_eq!(slot, self.applied, "out-of-order apply");
         self.applied = slot + 1;
         // Applies triggered by a traced Commit/Accepted land inside the
         // operation's trace; catch-up applies carry their own context.
         self.metrics.obs.trace.event_causal(
-            "paxos.apply",
+            S::PROFILE.spans.apply,
             ctx.trace(),
             &[
                 ("slot", FieldValue::U64(slot)),
@@ -1130,13 +1278,14 @@ impl<SM: StateMachine> Replica<SM> {
                 req_id,
                 cmd,
             } => {
-                self.apply_app(client, req_id, &cmd, ctx);
+                self.apply_app(slot, client, req_id, cmd, ctx);
             }
             Command::Batch(entries) => {
                 // Atomic within the slot: every entry applies (in order)
                 // before the next slot is considered.
+                self.batches_applied += 1;
                 for e in entries {
-                    self.apply_app(e.client, e.req_id, &e.cmd, ctx);
+                    self.apply_app(slot, e.client, e.req_id, e.cmd, ctx);
                 }
             }
             Command::Reconfig {
@@ -1175,15 +1324,15 @@ impl<SM: StateMachine> Replica<SM> {
                     // New members need the history to join the view: the
                     // snapshot for the compacted prefix plus the live tail.
                     let snapshot = (self.floor > 0).then(|| self.snapshot());
-                    let entries = self.chosen_tail(self.floor);
                     for peer in joiners {
                         if peer != self.me {
+                            let entries = self.chosen_tail(self.floor, peer);
                             self.send_msg(
                                 ctx,
                                 peer,
                                 Msg::CatchupReply {
                                     snapshot: snapshot.clone(),
-                                    entries: entries.clone(),
+                                    entries,
                                 },
                             );
                         }
@@ -1200,36 +1349,33 @@ impl<SM: StateMachine> Replica<SM> {
     /// containing slot, so it doubles as the response's `at`.
     fn apply_app(
         &mut self,
+        slot: Slot,
         client: NodeId,
         req_id: u64,
-        cmd: &SM::Command,
-        ctx: &mut Context<Msg<SM>>,
+        cmd: S::Wire,
+        ctx: &mut Context<Msg<S>>,
     ) {
-        let already = self
-            .dedup
-            .get(&client)
-            .map(|(last, _)| *last >= req_id)
-            .unwrap_or(false);
-        let resp = if already {
-            self.dedup.get(&client).and_then(|(_, r)| r.clone())
-        } else {
-            let r = self.sm.apply(cmd);
-            self.dedup.insert(client, (req_id, Some(r.clone())));
-            Some(r)
-        };
-        if matches!(self.phase, Phase::Leading) {
-            let at = self.applied;
-            self.send_msg(
-                ctx,
-                client,
-                Msg::Response { req_id, resp, at },
-            );
+        if !S::PROFILE.apply_duplicates {
+            if let Some((last, cached)) = self.dedup.get(&client) {
+                if *last >= req_id {
+                    let resp = cached.clone();
+                    if matches!(self.phase, Phase::Leading) {
+                        let at = self.applied;
+                        self.send_msg(ctx, client, Msg::Response { req_id, resp, at });
+                    }
+                    return;
+                }
+            }
+        }
+        let (sm, mut io) = self.service_io(ctx);
+        if let Some(resp) = sm.apply_entry(slot, client, req_id, cmd, &mut io) {
+            io.finish(client, req_id, resp);
         }
     }
 
     // ---------------------------------------------------------- heartbeat
 
-    fn send_heartbeat(&mut self, ctx: &mut Context<Msg<SM>>) {
+    fn send_heartbeat(&mut self, ctx: &mut Context<Msg<S>>) {
         self.last_heartbeat_sent = ctx.now;
         self.broadcast_msg(
             ctx,
@@ -1243,13 +1389,13 @@ impl<SM: StateMachine> Replica<SM> {
     // ---------------------------------------------------- actor callbacks
 
     /// Boot: arm the tick timer and stagger the first election.
-    pub fn on_start(&mut self, ctx: &mut Context<Msg<SM>>) {
+    pub fn on_start(&mut self, ctx: &mut Context<Msg<S>>) {
         self.reset_election_deadline(ctx.now);
         ctx.set_timer(self.cfg.tick, TICK_TOKEN);
     }
 
     /// Periodic bookkeeping.
-    pub fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<Msg<SM>>) {
+    pub fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<Msg<S>>) {
         self.sync_obs_time(ctx.now);
         if token == BATCH_TOKEN {
             // A batch linger expired; flush whatever is due.
@@ -1269,30 +1415,28 @@ impl<SM: StateMachine> Replica<SM> {
                 if self.batching_enabled() && !self.pending.is_empty() {
                     self.maybe_flush_batches(false, ctx);
                 }
-                // Re-broadcast stale proposals. Retries are causally part
-                // of the original quorum wait, not the timer that noticed
+                // Re-send stale proposals. Retries are causally part of
+                // the original quorum wait, not the timer that noticed
                 // the staleness.
-                let stale: Vec<(Slot, Command<SM::Command>, TraceContext)> = self
+                let stale: Vec<Slot> = self
                     .proposals
                     .iter()
                     .filter(|(_, p)| ctx.now.saturating_sub(p.sent_at) >= self.cfg.proposal_retry)
-                    .map(|(&s, p)| (s, p.value.clone(), p.span.context()))
+                    .map(|(&s, _)| s)
                     .collect();
                 let ballot = self.ballot;
-                for (slot, value, trace) in stale {
-                    if let Some(p) = self.proposals.get_mut(&slot) {
-                        p.sent_at = ctx.now;
-                    }
-                    self.broadcast_msg_traced(
-                        ctx,
-                        Msg::Accept {
-                            ballot,
-                            slot,
-                            value,
-                        },
-                        trace,
-                    );
+                for slot in stale {
+                    let p = self.proposals.get_mut(&slot).expect("stale slot present");
+                    p.sent_at = ctx.now;
+                    let p = &self.proposals[&slot];
+                    self.send_to_peers(ctx, p.span.context(), |dest| Msg::Accept {
+                        ballot,
+                        slot,
+                        value: self.sm.wire_for(&p.value, &p.enc, dest),
+                    });
                 }
+                let (sm, mut io) = self.service_io(ctx);
+                sm.on_leader_tick(&mut io);
             }
             _ => {
                 if ctx.now >= self.election_deadline {
@@ -1303,14 +1447,14 @@ impl<SM: StateMachine> Replica<SM> {
     }
 
     /// Message dispatch.
-    pub fn on_message(&mut self, from: NodeId, msg: Msg<SM>, ctx: &mut Context<Msg<SM>>) {
+    pub fn on_message(&mut self, from: NodeId, msg: Msg<S>, ctx: &mut Context<Msg<S>>) {
         self.sync_obs_time(ctx.now);
         self.metrics.recv[msg.kind_index()].inc();
         if self.retired {
             // A retired node still answers catch-up (it has the history).
             if let Msg::CatchupRequest { from_slot } = msg {
                 let snapshot = (from_slot < self.floor).then(|| self.snapshot());
-                let entries = self.chosen_tail(from_slot.max(self.floor));
+                let entries = self.chosen_tail(from_slot.max(self.floor), from);
                 self.send_msg(ctx, from, Msg::CatchupReply { snapshot, entries });
             }
             return;
@@ -1330,7 +1474,7 @@ impl<SM: StateMachine> Replica<SM> {
                     let reply = Msg::Promise {
                         ballot,
                         accepted: self.accepted_tail(from_slot),
-                        chosen: self.chosen_tail(from_slot),
+                        chosen: self.chosen_tail(from_slot, from),
                         commit_index: self.commit_index,
                         snapshot,
                     };
@@ -1353,9 +1497,10 @@ impl<SM: StateMachine> Replica<SM> {
                 snapshot,
             } => {
                 // Adopt state regardless of phase: a snapshot first (it
-                // may cover compacted history), then any chosen entries.
+                // may cover compacted history), then any chosen entries
+                // (the sender shaped them for us).
                 if let Some(snap) = snapshot {
-                    self.install_snapshot(snap, ctx.now);
+                    self.install_snapshot(*snap, ctx.now);
                 }
                 for e in chosen {
                     self.note_chosen(e, ctx);
@@ -1441,13 +1586,13 @@ impl<SM: StateMachine> Replica<SM> {
             }
             Msg::CatchupRequest { from_slot } => {
                 let snapshot = (from_slot < self.floor).then(|| self.snapshot());
-                let mut entries = self.chosen_tail(from_slot.max(self.floor));
+                let mut entries = self.chosen_tail(from_slot.max(self.floor), from);
                 entries.truncate(self.cfg.catchup_batch);
                 self.send_msg(ctx, from, Msg::CatchupReply { snapshot, entries });
             }
             Msg::CatchupReply { snapshot, entries } => {
                 if let Some(snap) = snapshot {
-                    self.install_snapshot(snap, ctx.now);
+                    self.install_snapshot(*snap, ctx.now);
                 }
                 for e in entries {
                     self.note_chosen(e, ctx);
@@ -1462,7 +1607,7 @@ impl<SM: StateMachine> Replica<SM> {
                 cmd,
                 floor,
             } => {
-                if self.cfg.local_reads && SM::is_read_only(&cmd) {
+                if S::PROFILE.local_reads && self.cfg.local_reads && S::is_read_only(&cmd) {
                     if self.applied >= floor {
                         self.serve_read(client, req_id, &cmd, ctx);
                     } else {
@@ -1483,6 +1628,10 @@ impl<SM: StateMachine> Replica<SM> {
                     self.handle_request(client, req_id, ClientOp::App(cmd), ctx);
                 }
             }
+            Msg::Ext(msg) => {
+                let (sm, mut io) = self.service_io(ctx);
+                sm.on_ext(from, msg, &mut io);
+            }
             Msg::Response { .. } | Msg::ReadResponse { .. } => {
                 // Replicas never receive responses; ignore.
             }
@@ -1495,9 +1644,12 @@ impl<SM: StateMachine> Replica<SM> {
         &mut self,
         client: NodeId,
         req_id: u64,
-        op: ClientOp<SM::Command>,
-        ctx: &mut Context<Msg<SM>>,
+        op: ClientOp<S::Command>,
+        ctx: &mut Context<Msg<S>>,
     ) {
+        if matches!(op, ClientOp::Reconfig { .. }) && !S::PROFILE.reconfig {
+            return; // fixed membership: the view is the shard layout
+        }
         match self.phase {
             Phase::Leading => {
                 let trace = ctx.trace();

@@ -28,32 +28,13 @@ fn release(owner: NodeId, name: &str) -> ClientOp<LockCmd> {
     })
 }
 
-fn last_resp(c: &Cluster<LockService>, client: NodeId) -> Option<LockResp> {
-    c.replica_hist(client)
-}
-
-trait HistExt {
-    fn replica_hist(&self, client: NodeId) -> Option<LockResp>;
-}
-
-impl HistExt for Cluster<LockService> {
-    fn replica_hist(&self, client: NodeId) -> Option<LockResp> {
-        self.sim
-            .actor(client)
-            .and_then(paxos::PaxosNode::as_client)
-            .and_then(|c| c.history().last())
-            .and_then(|h| h.completed.clone())
-            .and_then(|(_, r)| r)
-    }
-}
-
 #[test]
 fn elects_a_leader_and_commits() {
     let mut c = cluster(5, 1);
     let client = c.add_client();
     c.submit(client, acquire(client, "master"));
     assert!(c.run_until_drained(client, SimTime::from_secs(30)));
-    assert_eq!(last_resp(&c, client), Some(LockResp::Granted));
+    assert_eq!(c.last_response(client), Some(LockResp::Granted));
     assert!(c.leader().is_some());
     // Every live replica applied the same log.
     let applied = c.assert_log_agreement();
@@ -69,14 +50,14 @@ fn lock_mutual_exclusion_across_clients() {
     assert!(c.run_until_drained(c1, SimTime::from_secs(30)));
     c.submit(c2, acquire(c2, "lease"));
     assert!(c.run_until_drained(c2, SimTime::from_secs(30)));
-    assert_eq!(last_resp(&c, c1), Some(LockResp::Granted));
-    assert_eq!(last_resp(&c, c2), Some(LockResp::Busy { holder: c1 }));
+    assert_eq!(c.last_response(c1), Some(LockResp::Granted));
+    assert_eq!(c.last_response(c2), Some(LockResp::Busy { holder: c1 }));
     // Release then re-acquire.
     c.submit(c1, release(c1, "lease"));
     assert!(c.run_until_drained(c1, SimTime::from_secs(30)));
     c.submit(c2, acquire(c2, "lease"));
     assert!(c.run_until_drained(c2, SimTime::from_secs(30)));
-    assert_eq!(last_resp(&c, c2), Some(LockResp::Granted));
+    assert_eq!(c.last_response(c2), Some(LockResp::Granted));
 }
 
 #[test]
@@ -90,7 +71,7 @@ fn survives_leader_crash() {
     // The service must keep working with 4 of 5 replicas.
     c.submit(client, acquire(client, "b"));
     assert!(c.run_until_drained(client, SimTime::from_secs(60)));
-    assert_eq!(last_resp(&c, client), Some(LockResp::Granted));
+    assert_eq!(c.last_response(client), Some(LockResp::Granted));
     let new_leader = c.leader().expect("new leader elected");
     assert_ne!(new_leader, leader);
     c.assert_log_agreement();
@@ -220,14 +201,14 @@ fn client_retransmissions_apply_once() {
             c.run_until_drained(client, SimTime::from_secs(300)),
             "round {round} acquire"
         );
-        assert_eq!(last_resp(&c, client), Some(LockResp::Granted));
+        assert_eq!(c.last_response(client), Some(LockResp::Granted));
         c.submit(client, release(client, "r"));
         assert!(
             c.run_until_drained(client, SimTime::from_secs(300)),
             "round {round} release"
         );
         assert_eq!(
-            last_resp(&c, client),
+            c.last_response(client),
             Some(LockResp::Released),
             "round {round}: double-applied acquire or lost release"
         );
@@ -253,7 +234,7 @@ fn single_node_cluster_works() {
     let client = c.add_client();
     c.submit(client, acquire(client, "solo"));
     assert!(c.run_until_drained(client, SimTime::from_secs(30)));
-    assert_eq!(last_resp(&c, client), Some(LockResp::Granted));
+    assert_eq!(c.last_response(client), Some(LockResp::Granted));
 }
 
 #[test]
@@ -389,7 +370,7 @@ fn observability_captures_consensus_activity() {
     let client = c.add_client();
     c.submit(client, acquire(client, "obs"));
     assert!(c.run_until_drained(client, SimTime::from_secs(30)));
-    assert_eq!(last_resp(&c, client), Some(LockResp::Granted));
+    assert_eq!(c.last_response(client), Some(LockResp::Granted));
 
     let snap = o.metrics.snapshot();
     // Becoming leader and committing a command exercises both phases.

@@ -441,7 +441,7 @@ pub fn storage_service_replay_observed<S: BiddingStrategy>(
     config: ServiceReplayConfig,
     obs: &Obs,
 ) -> StorageReplayOutcome {
-    use storage::{RsCluster, RsConfig, StoreCmd, StoreResp};
+    use storage::{ShardStore, StoreCmd, StoreResp};
 
     let spec = ServiceSpec::storage_service();
     let ty = spec.instance_type;
@@ -477,11 +477,16 @@ pub fn storage_service_replay_observed<S: BiddingStrategy>(
     let mut assignment = pick(&first);
     assert_eq!(assignment.len(), 5, "storage needs five zones");
 
-    let mut cluster = RsCluster::new(
+    // The erasure code comes from the spec's quorum rule, the same one
+    // the bidder sizes the group with.
+    let mut cluster = Cluster::new(
         5,
-        RsConfig {
+        ShardStore::new(),
+        ReplicaConfig {
+            quorum: spec.quorum,
+            compact_after: None,
             obs: obs.clone(),
-            ..RsConfig::default()
+            ..ReplicaConfig::default()
         },
         NetworkConfig::default(),
         config.seed,
@@ -495,7 +500,7 @@ pub fn storage_service_replay_observed<S: BiddingStrategy>(
     let mut expected: std::collections::HashMap<String, u8> = Default::default();
     let mut op_counter = 0usize;
     let total_ops = (config.window_minutes / 3).max(4) as usize;
-    let submit_some = |cluster: &mut RsCluster,
+    let submit_some = |cluster: &mut Cluster<ShardStore>,
                            op_counter: &mut usize,
                            expected: &mut std::collections::HashMap<String, u8>,
                            upto: usize| {
@@ -580,7 +585,7 @@ pub fn storage_service_replay_observed<S: BiddingStrategy>(
                 let Some((nz, nb)) = unused.pop() else {
                     // No replacement zone: revive the slot in place.
                     if dead.contains(&slot) {
-                        cluster.restart(cluster.servers()[slot]);
+                        cluster.replace(cluster.servers()[slot]);
                         dead.retain(|&s| s != slot);
                         rebinds += 1;
                     }
@@ -591,14 +596,14 @@ pub fn storage_service_replay_observed<S: BiddingStrategy>(
                 } else {
                     dead.retain(|&s| s != slot);
                 }
-                cluster.restart(cluster.servers()[slot]);
+                cluster.replace(cluster.servers()[slot]);
                 *entry = (nz, nb);
                 rebinds += 1;
             }
         } else {
             // Strategy found nothing better: revive any dead slots.
             for slot in dead.drain(..) {
-                cluster.restart(cluster.servers()[slot]);
+                cluster.replace(cluster.servers()[slot]);
                 rebinds += 1;
             }
         }
@@ -614,7 +619,7 @@ pub fn storage_service_replay_observed<S: BiddingStrategy>(
     let history = cluster
         .sim
         .actor(client)
-        .and_then(storage::RsNode::as_client)
+        .and_then(paxos::PaxosNode::as_client)
         .map(|c| c.history().to_vec())
         .unwrap_or_default();
     let mut completed = 0usize;
@@ -624,19 +629,19 @@ pub fn storage_service_replay_observed<S: BiddingStrategy>(
     // Replay the history to know what each get should have returned.
     let mut shadow: std::collections::HashMap<String, u8> = Default::default();
     for op in &history {
-        match (&op.cmd, &op.completed) {
+        match (&op.op, &op.completed) {
             (_, None) => unfinished += 1,
-            (StoreCmd::Put { key, object }, Some(_)) => {
+            (ClientOp::App(StoreCmd::Put { key, object }), Some(_)) => {
                 completed += 1;
                 shadow.insert(key.clone(), object.first().copied().unwrap_or(0));
             }
-            (StoreCmd::Get { key }, Some((_, resp))) => {
+            (ClientOp::App(StoreCmd::Get { key }), Some((_, resp))) => {
                 completed += 1;
                 reads += 1;
                 let want = shadow.get(key).copied();
                 let got = match resp {
-                    StoreResp::Value { object: Some(o) } => o.first().copied(),
-                    StoreResp::Value { object: None } => None,
+                    Some(StoreResp::Value { object: Some(o) }) => o.first().copied(),
+                    Some(StoreResp::Value { object: None }) => None,
                     _ => Some(0xFF),
                 };
                 if want == got {

@@ -3,125 +3,41 @@
 //! The paper's second evaluation system (§5.1.2): a replicated object
 //! store that, following RS-Paxos (Mu et al., HPDC'14), sends **coded
 //! shards instead of full copies** through consensus. With a θ(m, n) code
-//! the accept/prepare quorums grow to `q = ⌈(n+m)/2⌉` so that any two
-//! quorums intersect in at least `m` replicas and a chosen value is always
-//! reconstructible; the price is reduced fault tolerance (θ(3,5) tolerates
-//! one failure, not two) — exactly the trade-off the paper's availability
-//! analysis must capture.
+//! the accept/prepare quorums grow to `q = ⌈(n+m)/2⌉`
+//! ([`paxos::QuorumRule::RsPaxos`]) so that any two quorums intersect in
+//! at least `m` replicas and a chosen value is always reconstructible;
+//! the price is reduced fault tolerance (θ(3,5) tolerates one failure,
+//! not two) — exactly the trade-off the paper's availability analysis
+//! must capture.
 //!
-//! Protocol sketch (a single-leader Multi-Paxos variant):
+//! The store is not a protocol stack of its own: [`ShardStore`] is a
+//! [`paxos::Service`] plugged into the shared Multi-Paxos core, so a
+//! storage deployment is a `paxos::Cluster<ShardStore>` configured with
+//! [`paxos::ReplicaConfig::rs_paxos`]. The service supplies only what
+//! RS-Paxos changes (see [`service`]):
 //!
-//! * The leader encodes each `Put` into `n` shards and sends acceptor `i`
-//!   only shard `i`; a slot is chosen once `q` acceptors accept.
-//! * `Commit` carries each replica its own shard, so even replicas that
-//!   missed the accept round store their shard.
-//! * On leader change, promises return the accepted *shards*; a value at
+//! * the leader encodes each `Put` into `n` shards and sends acceptor `i`
+//!   only shard `i`; `Commit`, promises and catch-up carry each replica
+//!   its own shard (re-encoded from the leader's object cache, or a
+//!   metadata-only record when the object is gone);
+//! * on leader change, promises return the accepted *shards*; a value at
 //!   the highest ballot is reconstructed when ≥ m shards are present
-//!   (guaranteed for chosen values by quorum intersection) and re-proposed;
-//!   otherwise the slot provably never chose and is filled with a no-op.
+//!   (guaranteed for chosen values by quorum intersection) and
+//!   re-proposed; otherwise the slot provably never chose and is filled
+//!   with a no-op;
 //! * `Get` is serialized through the log; the leader answers from its
-//!   object cache, or gathers `m` shards from peers and reconstructs.
+//!   object cache, or gathers `m` shards from peers ([`ShardMsg`]) and
+//!   reconstructs.
 //!
 //! Membership is fixed per deployment (shard index = position in the
-//! view); replacing an instance is modelled as crash + restart of a slot,
-//! which matches the replay harness's accounting. The full add/remove view
-//! change lives in the plain Paxos lock service.
+//! view); replacing an instance is modelled as crash + restart of a slot
+//! ([`paxos::Cluster::replace`]), which matches the replay harness's
+//! accounting. View change, follower-local reads and log compaction stay
+//! with the lock service.
 
-pub mod client;
-pub mod harness;
 pub mod msg;
-pub mod open_loop;
-pub mod replica;
+pub mod service;
 pub mod store;
 
-pub use client::{RsClientState, RsCompletedOp};
-pub use harness::RsCluster;
-pub use msg::{RsMsg, StoreCmd, StoreResp};
-pub use open_loop::{RsOpenLoopClient, RsOpenOp};
-pub use replica::{RsConfig, RsReplica};
+pub use msg::{ShardCmd, ShardMsg, StoreCmd, StoreResp};
 pub use store::ShardStore;
-
-use simnet::Actor;
-
-/// A node in an RS-Paxos simulation: server replica or client.
-// Replica state dwarfs client state by design; nodes are few.
-#[allow(clippy::large_enum_variant)]
-#[derive(Clone, Debug)]
-pub enum RsNode {
-    /// A storage replica.
-    Server(RsReplica),
-    /// A closed-loop client.
-    Client(RsClientState),
-    /// An open-loop workload session.
-    OpenLoop(RsOpenLoopClient),
-}
-
-impl RsNode {
-    /// The replica, if a server.
-    pub fn as_server(&self) -> Option<&RsReplica> {
-        match self {
-            RsNode::Server(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The client state, if a client.
-    pub fn as_client(&self) -> Option<&RsClientState> {
-        match self {
-            RsNode::Client(c) => Some(c),
-            _ => None,
-        }
-    }
-
-    /// Mutable client state, if a client.
-    pub fn as_client_mut(&mut self) -> Option<&mut RsClientState> {
-        match self {
-            RsNode::Client(c) => Some(c),
-            _ => None,
-        }
-    }
-
-    /// The open-loop session state, if this is one.
-    pub fn as_open_loop(&self) -> Option<&RsOpenLoopClient> {
-        match self {
-            RsNode::OpenLoop(c) => Some(c),
-            _ => None,
-        }
-    }
-
-    /// Mutable open-loop session state, if this is one.
-    pub fn as_open_loop_mut(&mut self) -> Option<&mut RsOpenLoopClient> {
-        match self {
-            RsNode::OpenLoop(c) => Some(c),
-            _ => None,
-        }
-    }
-}
-
-impl Actor for RsNode {
-    type Msg = RsMsg;
-
-    fn on_start(&mut self, ctx: &mut simnet::Context<RsMsg>) {
-        match self {
-            RsNode::Server(r) => r.on_start(ctx),
-            RsNode::Client(c) => c.on_start(ctx),
-            RsNode::OpenLoop(c) => c.on_start(ctx),
-        }
-    }
-
-    fn on_message(&mut self, from: simnet::NodeId, msg: RsMsg, ctx: &mut simnet::Context<RsMsg>) {
-        match self {
-            RsNode::Server(r) => r.on_message(from, msg, ctx),
-            RsNode::Client(c) => c.on_message(from, msg, ctx),
-            RsNode::OpenLoop(c) => c.on_message(from, msg, ctx),
-        }
-    }
-
-    fn on_timer(&mut self, token: simnet::TimerToken, ctx: &mut simnet::Context<RsMsg>) {
-        match self {
-            RsNode::Server(r) => r.on_timer(token, ctx),
-            RsNode::Client(c) => c.on_timer(token, ctx),
-            RsNode::OpenLoop(c) => c.on_timer(token, ctx),
-        }
-    }
-}

@@ -1,8 +1,12 @@
-//! The per-replica shard store: the applied state of the coded log.
+//! The per-replica shard store: the applied state of the coded log, plus
+//! the leader-side state of the RS-Paxos service (see [`crate::service`]).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use bytes::Bytes;
+use erasure::ReedSolomon;
+use obs::Counter;
+use simnet::{NodeId, SimTime};
 
 /// What one replica knows about one key.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -17,10 +21,29 @@ pub struct ShardEntry {
     pub shard: Option<Bytes>,
 }
 
-/// The applied key → shard map of one replica.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// A read the leader is reconstructing from peers' shards.
+#[derive(Clone, Debug)]
+pub(crate) struct PendingRead {
+    pub(crate) client: NodeId,
+    pub(crate) req_id: u64,
+    pub(crate) shards: BTreeMap<u8, Bytes>,
+    pub(crate) started: SimTime,
+    pub(crate) last_pull: SimTime,
+}
+
+/// One replica of the RS-Paxos store: the applied key → shard map, and
+/// the leader's object cache and reads in reconstruction.
+#[derive(Clone, Debug, Default)]
 pub struct ShardStore {
     entries: BTreeMap<String, ShardEntry>,
+    /// The θ(m, n) code, bound when the store joins a replica.
+    pub(crate) codec: Option<ReedSolomon>,
+    /// Leader-side full-object cache: key → (version, object).
+    pub(crate) objects: HashMap<String, (u64, Bytes)>,
+    /// Reads awaiting shard reconstruction: (key, version) → state.
+    pub(crate) pending_reads: HashMap<(String, u64), PendingRead>,
+    pub(crate) reads_reconstructed: Counter,
+    pub(crate) reads_unavailable: Counter,
 }
 
 impl ShardStore {

@@ -2,11 +2,18 @@
 //! failover with value recovery, and the θ(3,5) fault-tolerance envelope.
 
 use bytes::Bytes;
+use paxos::{ClientOp, Cluster, ReplicaConfig};
 use simnet::{NetworkConfig, SimTime};
-use storage::{RsCluster, RsConfig, StoreCmd, StoreResp};
+use storage::{ShardStore, StoreCmd, StoreResp};
 
-fn cluster(seed: u64) -> RsCluster {
-    RsCluster::new(5, RsConfig::default(), NetworkConfig::default(), seed)
+fn cluster(seed: u64) -> Cluster<ShardStore> {
+    Cluster::new(
+        5,
+        ShardStore::new(),
+        ReplicaConfig::rs_paxos(3),
+        NetworkConfig::default(),
+        seed,
+    )
 }
 
 fn object(tag: u8, len: usize) -> Bytes {
@@ -70,7 +77,7 @@ fn replicas_store_shards_not_full_copies() {
     // Each replica holds ~len/3 (+ framing), nowhere near the full object.
     let mut stored = 0usize;
     for &s in c.servers() {
-        let store = c.replica(s).unwrap().store();
+        let store = c.replica(s).unwrap().state_machine();
         if let Some(e) = store.get("big") {
             if let Some(shard) = &e.shard {
                 assert!(
@@ -153,14 +160,14 @@ fn restarted_replica_relearns_its_shards() {
     c.crash(victim);
     c.submit(client, put("k2", object(6, 500)));
     assert!(c.run_until_drained(client, SimTime::from_secs(60)));
-    c.restart(victim);
+    c.replace(victim);
     c.sim.run_until(c.sim.now() + SimTime::from_secs(30));
     let r = c.replica(victim).unwrap();
     assert!(r.commit_index() >= 2, "caught up: {}", r.commit_index());
     // It re-learned the keys; bytes may be absent for pre-crash entries
     // the leader could re-encode (it has the objects cached), so both keys
     // should actually carry shards here.
-    assert!(r.store().get("k2").is_some());
+    assert!(r.state_machine().get("k2").is_some());
 }
 
 #[test]
@@ -200,9 +207,10 @@ fn overwrites_return_latest_version() {
 
 #[test]
 fn lossy_network_still_converges() {
-    let mut c = RsCluster::new(
+    let mut c = Cluster::new(
         5,
-        RsConfig::default(),
+        ShardStore::new(),
+        ReplicaConfig::rs_paxos(3),
         NetworkConfig {
             min_latency: SimTime::from_millis(10),
             max_latency: SimTime::from_millis(150),
@@ -228,5 +236,29 @@ fn lossy_network_still_converges() {
             Some(StoreResp::Value { object: Some(obj) }),
             "round {i}"
         );
+    }
+}
+
+#[test]
+fn membership_is_fixed() {
+    // Shard index = view position, so the store never applies a
+    // reconfiguration: the request is dropped and the view stays whole.
+    let mut c = cluster(10);
+    let client = c.add_client();
+    c.submit(client, put("a", object(1, 64)));
+    assert!(c.run_until_drained(client, SimTime::from_secs(30)));
+    let victim = c.servers()[0];
+    c.submit(
+        client,
+        ClientOp::Reconfig {
+            add: Vec::new(),
+            remove: vec![victim],
+        },
+    );
+    assert!(!c.run_until_drained(client, SimTime::from_secs(40)));
+    for &s in c.servers() {
+        let r = c.replica(s).unwrap();
+        assert_eq!(r.view(), c.servers(), "replica {s} changed its view");
+        assert_eq!(r.view_id(), 0);
     }
 }

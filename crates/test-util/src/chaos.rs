@@ -14,10 +14,10 @@
 use std::fmt;
 
 use obs::Obs;
-use paxos::{ClientOp, LockCmd, ReplicaConfig};
+use paxos::{ClientOp, LockCmd, QuorumRule, ReplicaConfig};
 use rand::Rng;
 use simnet::{ChaosSchedule, SimTime};
-use storage::{RsConfig, StoreCmd};
+use storage::StoreCmd;
 
 use crate::check::{check_lock_cluster, check_storage_cluster};
 use crate::env::repro_command;
@@ -231,9 +231,9 @@ fn run_lock_chaos_with(
 /// Run the θ(3,5) storage workload under `schedule` and check
 /// read-your-writes plus final decoded-value integrity.
 pub fn run_storage_chaos(schedule: &ChaosSchedule, obs: &Obs) -> Result<ChaosOutcome, String> {
-    let cfg = RsConfig {
+    let cfg = ReplicaConfig {
         obs: obs.clone(),
-        ..RsConfig::default()
+        ..ReplicaConfig::rs_paxos(3)
     };
     run_storage_chaos_with(schedule, cfg, 1)
 }
@@ -250,23 +250,25 @@ pub fn run_storage_chaos_batched(
     schedule: &ChaosSchedule,
     obs: &Obs,
 ) -> Result<ChaosOutcome, String> {
-    let cfg = RsConfig {
+    let cfg = ReplicaConfig {
         batch_max_ops: 4,
         batch_delay: SimTime::from_millis(20),
         pipeline: 2,
         obs: obs.clone(),
-        ..RsConfig::default()
+        ..ReplicaConfig::rs_paxos(3)
     };
     run_storage_chaos_with(schedule, cfg, 2)
 }
 
 fn run_storage_chaos_with(
     schedule: &ChaosSchedule,
-    cfg: RsConfig,
+    cfg: ReplicaConfig,
     n_writers: usize,
 ) -> Result<ChaosOutcome, String> {
     let obs = &cfg.obs.clone();
-    let m = cfg.m;
+    let QuorumRule::RsPaxos { m } = cfg.quorum else {
+        panic!("storage chaos needs an RS-Paxos quorum rule");
+    };
     let mut c = storage_cluster(5, cfg, derive_seed(schedule.seed, STREAM_CLUSTER));
     let writers: Vec<_> = (0..n_writers).map(|_| c.add_client()).collect();
 
@@ -330,8 +332,9 @@ fn run_storage_chaos_with(
     obs.set_time_micros(c.sim.now().as_millis() * 1_000);
 
     let stats = check_storage_cluster(&c, &writers, m)?;
-    // The storage replica has no applied-log accessor; its lifetime
-    // batch counter is the witness that batching actually ran.
+    // The storage log holds shards, not the audited commands; the
+    // replicas' lifetime batch counter is the witness that batching
+    // actually ran.
     let batches_checked = c
         .servers()
         .iter()

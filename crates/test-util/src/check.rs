@@ -47,7 +47,7 @@ use paxos::{
     ClientOp, Cluster, Command, LockCmd, LockResp, LockService, PaxosNode, StateMachine,
 };
 use simnet::NodeId;
-use storage::{RsCluster, RsNode, StoreCmd, StoreResp};
+use storage::{ShardStore, StoreCmd, StoreResp};
 
 /// What the lock checker verified (sizes for sanity asserts in tests).
 #[derive(Clone, Copy, Debug, Default)]
@@ -342,7 +342,7 @@ fn replay_dedup(
 /// read-your-writes check to be exact); `m` is the erasure data-shard
 /// count of the deployment.
 pub fn check_storage_cluster(
-    c: &RsCluster,
+    c: &Cluster<ShardStore>,
     writers: &[NodeId],
     m: usize,
 ) -> Result<StorageCheckStats, String> {
@@ -357,17 +357,17 @@ pub fn check_storage_cluster(
         let Some(history) = c
             .sim
             .actor(client)
-            .and_then(RsNode::as_client)
+            .and_then(PaxosNode::as_client)
             .map(|cl| cl.history())
         else {
             continue;
         };
         for op in history {
-            let Some((_, resp)) = &op.completed else {
+            let (ClientOp::App(cmd), Some((_, Some(resp)))) = (&op.op, &op.completed) else {
                 continue;
             };
             stats.ops_checked += 1;
-            match (&op.cmd, resp) {
+            match (cmd, resp) {
                 (StoreCmd::Put { key, object }, StoreResp::Stored { version }) => {
                     if let Some((prev, _)) = expected.get(key) {
                         if version <= prev {
@@ -415,7 +415,7 @@ pub fn check_storage_cluster(
         let mut newest = 0u64;
         for &id in c.servers() {
             let Some(r) = c.replica(id) else { continue };
-            if let Some(e) = r.store().get(key) {
+            if let Some(e) = r.state_machine().get(key) {
                 newest = newest.max(e.version);
                 if e.version > *version {
                     return Err(format!(

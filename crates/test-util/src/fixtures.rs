@@ -7,7 +7,7 @@ use paxos::{Cluster, LockService, ReplicaConfig};
 use replay::{replay_repair_stored, RepairConfig, ReplayConfig, ReplayResult};
 use simnet::NetworkConfig;
 use spot_market::{InstanceType, Market, MarketConfig};
-use storage::{RsCluster, RsConfig};
+use storage::ShardStore;
 
 /// A small paper-parameterized market: `weeks` of history across the
 /// first `zones` availability zones, m1.small only.
@@ -43,9 +43,11 @@ pub fn lock_cluster(n: usize, cfg: ReplicaConfig, seed: u64) -> Cluster<LockServ
     Cluster::new(n, LockService::new(), cfg, NetworkConfig::default(), seed)
 }
 
-/// A θ(m, n) RS-Paxos storage cluster on the default WAN model.
-pub fn storage_cluster(n: usize, cfg: RsConfig, seed: u64) -> RsCluster {
-    RsCluster::new(n, cfg, NetworkConfig::default(), seed)
+/// A θ(m, n) RS-Paxos storage cluster on the default WAN model, with
+/// the given replica configuration (pass [`ReplicaConfig::rs_paxos`]
+/// unless the test needs otherwise).
+pub fn storage_cluster(n: usize, cfg: ReplicaConfig, seed: u64) -> Cluster<ShardStore> {
+    Cluster::new(n, ShardStore::new(), cfg, NetworkConfig::default(), seed)
 }
 
 /// Two replays of the same kill-prone lock-service deployment over

@@ -22,13 +22,11 @@
 //! treats lost instances the same way.
 
 use obs::{LivenessWatchdog, Obs, SloSpec, SloTracker};
-use paxos::open_loop::OpenLoopClient;
-use paxos::{Cluster, LockCmd, LockService, PaxosNode, ReplicaConfig};
+use paxos::{Cluster, LockCmd, LockService, OpenLoopClient, PaxosNode, ReplicaConfig, Service};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use simnet::{NetworkConfig, NodeId, SimTime};
-use storage::open_loop::RsOpenLoopClient;
-use storage::{RsCluster, RsConfig, RsNode, StoreCmd};
+use storage::{ShardStore, StoreCmd};
 
 use crate::arrival::{split_round_robin, ArrivalProcess};
 
@@ -285,16 +283,54 @@ fn schedule<C>(
 /// Run `spec` against a fresh lock-service cluster, recording
 /// `workload.*` metrics into `obs`.
 pub fn run_lock_workload(spec: &WorkloadSpec, net: NetworkConfig, obs: &Obs) -> WorkloadReport {
+    run_workload(
+        spec,
+        LockService::new(),
+        ReplicaConfig::default(),
+        |rng, user| lock_cmd(rng, spec, user),
+        "workload",
+        net,
+        obs,
+    )
+}
+
+/// Run `spec` against a fresh θ(3, n) RS-Paxos storage cluster,
+/// recording `workload_store.*` metrics into `obs`. Local reads do not
+/// apply — a follower holds one shard and cannot reconstruct an object.
+pub fn run_storage_workload(spec: &WorkloadSpec, net: NetworkConfig, obs: &Obs) -> WorkloadReport {
+    run_workload(
+        spec,
+        ShardStore::new(),
+        ReplicaConfig::rs_paxos(3),
+        |rng, user| store_cmd(rng, spec, user),
+        "workload_store",
+        net,
+        obs,
+    )
+}
+
+/// Drive one fresh cluster of `service` replicas (configured from `base`
+/// plus the spec's batching, pipelining and local-read knobs) with the
+/// spec's open-loop stream, and summarize under `prefix`.
+fn run_workload<S: Service>(
+    spec: &WorkloadSpec,
+    service: S,
+    base: ReplicaConfig,
+    cmd: impl FnMut(&mut ChaCha8Rng, u64) -> S::Command,
+    prefix: &str,
+    net: NetworkConfig,
+    obs: &Obs,
+) -> WorkloadReport {
     let cfg = ReplicaConfig {
         batch_max_ops: spec.batch_max_ops,
         batch_delay: spec.batch_delay,
         pipeline: spec.pipeline,
         local_reads: spec.local_reads,
         obs: obs.clone(),
-        ..ReplicaConfig::default()
+        ..base
     };
-    let mut cluster = Cluster::new(spec.replicas, LockService::new(), cfg, net, spec.seed);
-    let stream = schedule(spec, |rng, user| lock_cmd(rng, spec, user));
+    let mut cluster = Cluster::new(spec.replicas, service, cfg, net, spec.seed);
+    let stream = schedule(spec, cmd);
     let requests = stream.len();
     let mut session_ids = Vec::with_capacity(spec.sessions);
     for sched in split_round_robin(stream, spec.sessions.max(1)) {
@@ -347,82 +383,10 @@ pub fn run_lock_workload(spec: &WorkloadSpec, net: NetworkConfig, obs: &Obs) -> 
     }
     summarize(
         spec,
-        "workload",
+        prefix,
         outcomes,
         retransmits,
         local_served,
-        cluster.sim.now(),
-        obs,
-    )
-}
-
-/// Run `spec` against a fresh RS-Paxos storage cluster, recording
-/// `workload_store.*` metrics into `obs`. Local reads do not apply —
-/// a follower holds one shard and cannot reconstruct an object.
-pub fn run_storage_workload(spec: &WorkloadSpec, net: NetworkConfig, obs: &Obs) -> WorkloadReport {
-    let cfg = RsConfig {
-        batch_max_ops: spec.batch_max_ops,
-        batch_delay: spec.batch_delay,
-        pipeline: spec.pipeline,
-        obs: obs.clone(),
-        ..RsConfig::default()
-    };
-    let mut cluster = RsCluster::new(spec.replicas, cfg, net, spec.seed);
-    let stream = schedule(spec, |rng, user| store_cmd(rng, spec, user));
-    let requests = stream.len();
-    let mut session_ids = Vec::with_capacity(spec.sessions);
-    for sched in split_round_robin(stream, spec.sessions.max(1)) {
-        let id = NodeId(cluster.sim.node_count());
-        let session = RsOpenLoopClient::new(id, cluster.servers().to_vec(), sched)
-            .with_obs(obs.clone())
-            .with_trace_every(spec.trace_every);
-        let got = cluster.sim.add_node(RsNode::OpenLoop(session));
-        assert_eq!(got, id);
-        session_ids.push(id);
-    }
-
-    let deadline = spec.start_at + spec.horizon + spec.drain_grace;
-    let mut watchdog = LivenessWatchdog::new(
-        obs.alerts.clone(),
-        paxos::harness::LIVENESS_STALL_BOUND,
-    );
-    loop {
-        let completed: usize = session_ids
-            .iter()
-            .filter_map(|&id| cluster.sim.actor(id).and_then(RsNode::as_open_loop))
-            .map(RsOpenLoopClient::completions)
-            .sum();
-        let outstanding = requests - completed;
-        watchdog.observe(sim_micros(cluster.sim.now()), outstanding as u64);
-        if outstanding == 0 || cluster.sim.now() >= deadline {
-            break;
-        }
-        let next = cluster.sim.now() + SimTime::from_secs(1);
-        cluster.sim.run_until(next.min(deadline));
-    }
-
-    let mut outcomes = Vec::with_capacity(requests);
-    let mut retransmits = 0u64;
-    for &id in &session_ids {
-        let s = cluster
-            .sim
-            .actor(id)
-            .and_then(RsNode::as_open_loop)
-            .expect("session exists");
-        retransmits += s.retransmits();
-        for r in s.records() {
-            outcomes.push(Outcome {
-                scheduled: r.scheduled,
-                completed: r.completed.as_ref().map(|&(t, _)| t),
-            });
-        }
-    }
-    summarize(
-        spec,
-        "workload_store",
-        outcomes,
-        retransmits,
-        0,
         cluster.sim.now(),
         obs,
     )

@@ -7,11 +7,18 @@
 //! ```
 
 use bytes::Bytes;
+use spot_jupiter::paxos::{Cluster, ReplicaConfig};
 use spot_jupiter::simnet::{NetworkConfig, SimTime};
-use spot_jupiter::storage::{RsCluster, RsConfig, StoreCmd, StoreResp};
+use spot_jupiter::storage::{ShardStore, StoreCmd, StoreResp};
 
 fn main() {
-    let mut cluster = RsCluster::new(5, RsConfig::default(), NetworkConfig::default(), 11);
+    let mut cluster = Cluster::new(
+        5,
+        ShardStore::new(),
+        ReplicaConfig::rs_paxos(3),
+        NetworkConfig::default(),
+        11,
+    );
     let client = cluster.add_client();
     println!("θ(3,5) RS-Paxos storage: quorum {}, tolerates 1 failure", 4);
 
@@ -41,7 +48,7 @@ fn main() {
     for &s in cluster.servers() {
         let held = cluster
             .replica(s)
-            .map(|r| r.store().shard_bytes())
+            .map(|r| r.state_machine().shard_bytes())
             .unwrap_or(0);
         total_shard_bytes += held;
         println!("  node {s}: {held} shard bytes");
@@ -73,6 +80,6 @@ fn main() {
     );
 }
 
-fn deadline(cluster: &RsCluster) -> SimTime {
+fn deadline(cluster: &Cluster<ShardStore>) -> SimTime {
     cluster.sim.now() + SimTime::from_secs(120)
 }

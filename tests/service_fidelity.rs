@@ -9,7 +9,7 @@ use spot_jupiter::replay::service_level::{lock_service_replay, ServiceReplayConf
 use spot_jupiter::replay::{RepairConfig, RepairPolicy, Scenario, SweepSpec};
 use spot_jupiter::simnet::SimTime;
 use spot_jupiter::spot_market::{InstanceType, Market, MarketConfig};
-use spot_jupiter::storage::{RsConfig, StoreCmd, StoreResp};
+use spot_jupiter::storage::{StoreCmd, StoreResp};
 use test_util::{lock_cluster, storage_cluster};
 
 #[test]
@@ -171,7 +171,7 @@ fn lock_service_rolling_replacement_is_seamless() {
 fn storage_service_handles_churn_with_quorum_margin() {
     // Kill and restart replicas one at a time (never two concurrently —
     // θ(3,5) tolerates exactly one) across several rounds of writes.
-    let mut c = storage_cluster(5, RsConfig::default(), 17);
+    let mut c = storage_cluster(5, ReplicaConfig::rs_paxos(3), 17);
     let client = c.add_client();
     for round in 0..4u8 {
         let obj = Bytes::from(vec![round; 400]);
@@ -204,7 +204,7 @@ fn storage_service_handles_churn_with_quorum_margin() {
             }
             other => panic!("round {round}: {other:?}"),
         }
-        c.restart(victim);
+        c.replace(victim);
         c.sim.run_until(c.sim.now() + SimTime::from_secs(20));
     }
 }
