@@ -112,11 +112,16 @@ echo "== perfbench build + checks =="
 # public API; building it here catches API breaks in workload/replay
 # before the benchmark pipeline does. The smoke test runs every workload
 # at tiny scale; the quorum_requests run checks the pinned seed-2014
-# per-rung lock/store fingerprints in perfbench/pinned/.
+# per-rung lock/store fingerprints in perfbench/pinned/, and the bid_sweep
+# run the pinned per-cell fingerprints of all 18 seed-2014 cells, every
+# one of which passes through the Jupiter forecasts (Eq. 5/14).
 python3 perfbench/smoke_test.py
 python3 perfbench/run.py --workload quorum_requests --seconds 0 > /tmp/ci_quorum_requests.txt
 tail -n 1 /tmp/ci_quorum_requests.txt | grep -q '"correct": true' \
   || { echo "perfbench: quorum_requests output checks failed" >&2; exit 1; }
+python3 perfbench/run.py --workload bid_sweep --seconds 0 > /tmp/ci_bid_sweep.txt
+tail -n 1 /tmp/ci_bid_sweep.txt | grep -q '"correct": true' \
+  || { echo "perfbench: bid_sweep output checks failed" >&2; exit 1; }
 
 echo "== bench-baseline compare =="
 if [[ -f BENCH_replay.json ]]; then

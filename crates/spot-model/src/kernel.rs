@@ -511,6 +511,47 @@ impl FrozenKernel {
         })
     }
 
+    /// Every non-zero entry of [`Self::exact_next_state_dist`] for ages
+    /// `1..=max_age` of state `i`, from one walk of its sorted
+    /// transitions: `f(age, j, P(j | i, τ = age))`, by increasing age,
+    /// then `j`. Ages past [`MAX_SOJOURN_MINUTES`] repeat the last tracked
+    /// sojourn's entries, as that method's clamp does. This is what
+    /// forecast-table construction uses.
+    pub(crate) fn for_each_exact_transition(
+        &self,
+        i: u16,
+        max_age: usize,
+        mut f: impl FnMut(u32, u16, f64),
+    ) {
+        let last = max_age.min(MAX_SOJOURN_MINUTES) as u32;
+        let mut rest = self.states[i as usize].trans.as_slice();
+        while let Some(&(k0, _, _)) = rest.first() {
+            let (run, tail) = rest.split_at(rest.partition_point(|&(k, _, _)| k == k0));
+            rest = tail;
+            let age = k0 + 1;
+            if age > last {
+                break;
+            }
+            let total: u64 = run.iter().map(|&(_, _, c)| c).sum();
+            if total < 3 {
+                continue;
+            }
+            let ages = if age as usize == MAX_SOJOURN_MINUTES {
+                age..=max_age as u32
+            } else {
+                age..=age
+            };
+            for a in ages {
+                for &(_, j, c) in run {
+                    let p = c as f64 / total as f64;
+                    if p > 0.0 {
+                        f(a, j, p);
+                    }
+                }
+            }
+        }
+    }
+
     /// Marginal next-state distribution `P(j | i)`, falling back to
     /// "uniform over adjacent states" when `i` was never seen completing a
     /// sojourn. Always sums to 1 for a non-empty state space.
